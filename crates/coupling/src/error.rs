@@ -102,16 +102,6 @@ pub enum CouplingError {
     },
     /// No task with the given id exists in the task ledger.
     UnknownTask(u64),
-    /// An update task failed during execution. The original error was
-    /// consumed recording the failure in the task ledger; its
-    /// classification and display form survive here, so
-    /// [`CouplingError::kind`] still routes correctly.
-    TaskFailed {
-        /// Classification of the underlying execution error.
-        kind: ErrorKind,
-        /// Display form of the underlying execution error.
-        message: String,
-    },
 }
 
 impl CouplingError {
@@ -163,7 +153,6 @@ impl CouplingError {
             CouplingError::Timeout(_) => ErrorKind::Timeout,
             CouplingError::Remote { kind, .. } => *kind,
             CouplingError::UnknownTask(_) => ErrorKind::NotFound,
-            CouplingError::TaskFailed { kind, .. } => *kind,
         }
     }
 }
@@ -191,9 +180,6 @@ impl fmt::Display for CouplingError {
                 write!(f, "remote replica failure ({kind}): {message}")
             }
             CouplingError::UnknownTask(id) => write!(f, "unknown task {id}"),
-            CouplingError::TaskFailed { kind, message } => {
-                write!(f, "update task failed ({kind}): {message}")
-            }
         }
     }
 }
@@ -290,21 +276,7 @@ mod tests {
             ErrorKind::Other
         );
         assert_eq!(CouplingError::UnknownTask(3).kind(), ErrorKind::NotFound);
-        assert_eq!(
-            CouplingError::TaskFailed {
-                kind: ErrorKind::IrsDown,
-                message: "down".into()
-            }
-            .kind(),
-            ErrorKind::IrsDown
-        );
         assert!(CouplingError::UnknownTask(3).to_string().contains('3'));
-        assert!(CouplingError::TaskFailed {
-            kind: ErrorKind::Io,
-            message: "disk".into()
-        }
-        .to_string()
-        .contains("disk"));
     }
 
     #[test]

@@ -5,104 +5,47 @@
 //! the flush silently loses IRS updates, and the eager/deferred
 //! trade-off measured in E7 would be meaningless in a durable system.
 //! [`Journal`] fixes that: every recorded operation is appended to an
-//! append-only, checksummed, fsynced file *before* it enters the
-//! in-memory log, and [`Journal::open`] replays the surviving frames so
-//! pending updates outlive a crash.
+//! [`oodb::log::Log`] — append-only, CRC-framed, fsynced — *before* it
+//! enters the in-memory log, and [`Journal::open`] replays the surviving
+//! records so pending updates outlive a crash. Framing, torn-tail
+//! truncation and atomic rewrite are the log's; this module only adds
+//! the operation codec and compaction.
 //!
-//! **Frame format** (all integers little-endian):
-//!
-//! ```text
-//! [len: u32] [payload: tag u8 ++ oid u64] [crc32(payload): u32]
-//! ```
-//!
-//! Replay stops at the first torn or corrupt frame and truncates the
-//! file back to the last consistent prefix — the same
-//! discard-the-torn-tail policy as the OODB write-ahead log.
-//!
-//! **Group commit:** by default every appended frame is fsynced on its
-//! own ([`SyncPolicy::Immediate`]). [`SyncPolicy::GroupCommit`] and
-//! [`Journal::append_batch`] amortise the `sync_data` over several
-//! frames — size- and time-bounded — trading the unsynced tail of the
-//! current group (recovered as a torn write) for an order of magnitude
-//! fewer disk round-trips under churn.
+//! **Record payload:** `tag u8 ++ oid u64` (little-endian), tag 1 =
+//! insert, 2 = modify, 3 = delete. A frame is therefore 17 bytes.
 //!
 //! **Cancellation at append time:** the paper's operation-cancellation
 //! optimisation is applied to the journal too. When the file holds at
-//! least twice as many frames as the folded in-memory log (and at least
-//! [`Journal::COMPACT_MIN`] frames), the journal is atomically rewritten
+//! least twice as many records as the folded in-memory log (and at least
+//! [`Journal::COMPACT_MIN`] records), the journal is atomically rewritten
 //! to exactly the folded operations, so insert+delete churn cannot grow
 //! the file without bound.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::Path;
 
+use oodb::log::Log;
 use oodb::Oid;
 
-use crate::error::{CouplingError, Result};
+use crate::error::Result;
 use crate::propagate::PendingOp;
 
-/// Longest frame payload `open` accepts; larger lengths mark corruption.
-const MAX_PAYLOAD: usize = 64;
+/// Bytes in one encoded operation; also the log's payload cap.
+const OP_LEN: usize = 9;
 
-fn io_err(e: std::io::Error) -> CouplingError {
-    CouplingError::Irs(irs::IrsError::Io(e))
-}
-
-/// Serialise one raw payload as a CRC-framed record.
-fn raw_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&irs::persist::crc32(payload).to_le_bytes());
-    out
-}
-
-/// Read the frame starting at `pos`, if a complete, CRC-valid one is
-/// there. Returns the payload slice and the offset just past the frame;
-/// `None` marks a torn/corrupt tail (or clean end of input).
-fn next_raw_frame(bytes: &[u8], pos: usize, max_payload: usize) -> Option<(&[u8], usize)> {
-    if pos + 4 > bytes.len() {
-        return None;
-    }
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&bytes[pos..pos + 4]);
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 || len > max_payload {
-        return None;
-    }
-    let end = pos.checked_add(4 + len + 4)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[pos + 4..pos + 4 + len];
-    let mut crc_bytes = [0u8; 4];
-    crc_bytes.copy_from_slice(&bytes[pos + 4 + len..end]);
-    if irs::persist::crc32(payload) != u32::from_le_bytes(crc_bytes) {
-        return None;
-    }
-    Some((payload, end))
-}
-
-fn encode_op(op: PendingOp) -> [u8; 9] {
+fn encode_op(op: PendingOp) -> [u8; OP_LEN] {
     let (tag, oid) = match op {
         PendingOp::Insert(o) => (1u8, o),
         PendingOp::Modify(o) => (2u8, o),
         PendingOp::Delete(o) => (3u8, o),
     };
-    let mut payload = [0u8; 9];
+    let mut payload = [0u8; OP_LEN];
     payload[0] = tag;
     payload[1..].copy_from_slice(&oid.0.to_le_bytes());
     payload
 }
 
 fn decode_op(payload: &[u8]) -> Option<PendingOp> {
-    if payload.len() != 9 {
-        return None;
-    }
-    let mut oid_bytes = [0u8; 8];
-    oid_bytes.copy_from_slice(&payload[1..]);
+    let oid_bytes: [u8; 8] = payload.get(1..)?.try_into().ok()?;
     let oid = Oid(u64::from_le_bytes(oid_bytes));
     match payload[0] {
         1 => Some(PendingOp::Insert(oid)),
@@ -112,428 +55,95 @@ fn decode_op(payload: &[u8]) -> Option<PendingOp> {
     }
 }
 
-fn frame(op: PendingOp) -> Vec<u8> {
-    raw_frame(&encode_op(op))
+fn encode_all(ops: &[PendingOp]) -> Vec<[u8; OP_LEN]> {
+    ops.iter().copied().map(encode_op).collect()
 }
 
-/// Parse the longest valid frame prefix of `bytes`; returns the decoded
-/// operations and the byte length of the valid prefix.
-fn parse_frames(bytes: &[u8]) -> (Vec<PendingOp>, usize) {
-    let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while let Some((payload, end)) = next_raw_frame(bytes, pos, MAX_PAYLOAD) {
-        let Some(op) = decode_op(payload) else { break };
-        ops.push(op);
-        pos = end;
-    }
-    (ops, pos)
-}
-
-/// When appended frames are made durable (`sync_data`).
-///
-/// The default, [`SyncPolicy::Immediate`], fsyncs after every frame —
-/// maximum durability, one disk round-trip per recorded operation. Under
-/// heavy deferred churn that sync dominates; [`SyncPolicy::GroupCommit`]
-/// amortises it by letting several frames ride one `sync_data`, bounded
-/// in both count and time. Frames are still *written* immediately, so the
-/// only window a crash can lose is the unsynced tail of the current
-/// group — which replay then truncates away cleanly, exactly like a torn
-/// write. Group commit is opt-in; crash-recovery semantics for the
-/// default policy are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// `sync_data` after every appended frame.
-    #[default]
-    Immediate,
-    /// Batch frames per `sync_data`: sync once `max_frames` frames are
-    /// unsynced or `max_delay` has passed since the first unsynced frame,
-    /// whichever comes first. [`Journal::append_batch`], [`Journal::sync`],
-    /// [`Journal::rewrite`], and [`Journal::clear`] always leave the file
-    /// synced regardless of policy.
-    GroupCommit {
-        /// Sync after this many unsynced frames (floored at 1).
-        max_frames: usize,
-        /// Sync once the oldest unsynced frame is this old.
-        max_delay: Duration,
-    },
-}
-
-/// An append-only, checksummed, fsynced file of pending propagation
-/// operations. Owned by [`crate::Propagator`]; see the module docs for
-/// format and durability guarantees.
+/// The durable log of pending propagation operations. Owned by
+/// [`crate::Propagator`]; see the module docs.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: File,
-    frames: u64,
-    rewrites: u64,
-    policy: SyncPolicy,
-    /// Frames written but not yet covered by a `sync_data`.
-    unsynced: u64,
-    /// When the oldest unsynced frame was written.
-    since: Option<Instant>,
-    syncs: u64,
+    log: Log,
 }
 
 impl Journal {
-    /// Minimum frame count before compaction is considered.
+    /// Minimum record count before compaction is considered.
     pub const COMPACT_MIN: u64 = 8;
 
     /// Open (or create) the journal at `path`, replaying surviving
-    /// frames. A torn or corrupt tail is truncated away; the returned
+    /// records. A torn or corrupt tail is truncated away; the returned
     /// operations are the journal's last consistent state in append
-    /// order.
+    /// order (replay also stops at a CRC-valid record that is not an
+    /// operation).
     pub fn open(path: &Path) -> Result<(Journal, Vec<PendingOp>)> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        let (ops, valid_len) = parse_frames(&bytes);
-        if valid_len < bytes.len() {
-            // Crash artifact: drop the torn tail so appends continue from
-            // a consistent prefix.
-            let f = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-            f.set_len(valid_len as u64).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
+        let (log, payloads) = Log::open(path, OP_LEN)?;
+        let ops: Vec<PendingOp> = payloads.iter().map_while(|p| decode_op(p)).collect();
+        let mut journal = Journal { log };
+        if ops.len() < payloads.len() {
+            // Drop the undecodable record and everything after it, so
+            // later appends are not stranded behind it.
+            journal.rewrite(&ops)?;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(io_err)?;
-        let journal = Journal {
-            path: path.to_path_buf(),
-            file,
-            frames: ops.len() as u64,
-            rewrites: 0,
-            policy: SyncPolicy::default(),
-            unsynced: 0,
-            since: None,
-            syncs: 0,
-        };
         Ok((journal, ops))
     }
 
-    /// The sync policy in effect.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Change when appended frames are fsynced. Takes effect for
-    /// subsequent appends; any currently unsynced frames keep their
-    /// original deadline behavior under the new policy.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.policy = policy;
-    }
-
-    /// `sync_data` calls issued since open — the metric group commit
-    /// exists to shrink.
+    /// `sync_data` calls issued since open.
     pub fn syncs(&self) -> u64 {
-        self.syncs
+        self.log.syncs()
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
-    /// Frames currently in the file.
+    /// Records currently in the file.
     pub fn frames(&self) -> u64 {
-        self.frames
+        self.log.records()
     }
 
     /// Compaction rewrites performed since open.
     pub fn rewrites(&self) -> u64 {
-        self.rewrites
+        self.log.rewrites()
     }
 
-    fn sync_now(&mut self) -> Result<()> {
-        self.file.sync_data().map_err(io_err)?;
-        self.syncs += 1;
-        self.unsynced = 0;
-        self.since = None;
-        Ok(())
-    }
-
-    /// Sync bookkeeping after `n` frames were written: under
-    /// [`SyncPolicy::Immediate`] sync now; under group commit sync only
-    /// when the count or age bound is hit.
-    fn after_write(&mut self, n: u64) -> Result<()> {
-        self.unsynced += n;
-        if self.since.is_none() {
-            self.since = Some(Instant::now());
-        }
-        let due = match self.policy {
-            SyncPolicy::Immediate => true,
-            SyncPolicy::GroupCommit {
-                max_frames,
-                max_delay,
-            } => {
-                self.unsynced >= (max_frames as u64).max(1)
-                    || self.since.is_some_and(|t| t.elapsed() >= max_delay)
-            }
-        };
-        if due {
-            self.sync_now()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Append one operation. Under the default policy the frame is
-    /// written, flushed, and fsynced before this returns; under
-    /// [`SyncPolicy::GroupCommit`] the fsync may be deferred to a batch
-    /// boundary (see [`Journal::sync`]).
+    /// Durably append one operation.
     pub fn append(&mut self, op: PendingOp) -> Result<()> {
-        self.file.write_all(&frame(op)).map_err(io_err)?;
-        self.frames += 1;
-        self.after_write(1)
+        Ok(self.log.append(&encode_op(op))?)
     }
 
-    /// Durably append several operations with **one** `sync_data`: all
-    /// frames are written in a single `write_all` and the batch is made
-    /// durable together — the group-commit fast path for bulk
-    /// propagation, regardless of the configured policy.
+    /// Durably append several operations with **one** `sync_data`.
     pub fn append_batch(&mut self, ops: &[PendingOp]) -> Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let mut out = Vec::with_capacity(ops.len() * 17);
-        for &op in ops {
-            out.extend_from_slice(&frame(op));
-        }
-        self.file.write_all(&out).map_err(io_err)?;
-        self.frames += ops.len() as u64;
-        self.unsynced += ops.len() as u64;
-        self.sync_now()
+        Ok(self.log.append_batch(&encode_all(ops))?)
     }
 
-    /// Force any unsynced frames to disk. No-op when everything already
-    /// is; the group-commit time bound is the caller's to enforce (call
-    /// this from a timer, a flush, or a commit point).
-    pub fn sync(&mut self) -> Result<()> {
-        if self.unsynced > 0 {
-            self.sync_now()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Atomically replace the journal's contents with exactly `ops`
-    /// (compaction: the folded log after cancellation). Temp file +
-    /// fsync + rename, so a crash leaves either the old or the new
-    /// journal.
+    /// Atomically replace the journal's contents with exactly `ops`.
     pub fn rewrite(&mut self, ops: &[PendingOp]) -> Result<()> {
-        let mut out = Vec::with_capacity(ops.len() * 17);
-        for &op in ops {
-            out.extend_from_slice(&frame(op));
+        Ok(self.log.rewrite(&encode_all(ops))?)
+    }
+
+    /// Compaction: rewrite the journal to `folded` (the in-memory log
+    /// after cancellation) once the file holds at least
+    /// [`Journal::COMPACT_MIN`] records and at least twice as many as
+    /// `folded`.
+    pub fn compact(&mut self, folded: &[PendingOp]) -> Result<()> {
+        let frames = self.frames();
+        if frames >= Self::COMPACT_MIN && frames >= 2 * folded.len() as u64 {
+            self.rewrite(folded)?;
         }
-        let file_name = self.path.file_name().ok_or_else(|| {
-            io_err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("journal path {} has no file name", self.path.display()),
-            ))
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = self.path.with_file_name(tmp_name);
-        {
-            let mut f = File::create(&tmp).map_err(io_err)?;
-            f.write_all(&out).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(io_err)?;
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-        // The old append handle points at the unlinked inode; reopen.
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err)?;
-        self.frames = ops.len() as u64;
-        self.rewrites += 1;
-        // The rewritten file was fully synced before the rename.
-        self.unsynced = 0;
-        self.since = None;
         Ok(())
     }
 
     /// Empty the journal (after a fully successful flush).
     pub fn clear(&mut self) -> Result<()> {
-        self.file.set_len(0).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
-        self.syncs += 1;
-        self.frames = 0;
-        self.unsynced = 0;
-        self.since = None;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Raw record log
-// ---------------------------------------------------------------------
-
-/// An append-only, checksummed, fsynced file of *opaque* records —
-/// the same `[len][payload][crc32]` framing [`Journal`] uses for
-/// propagation operations, generalised so other subsystems (the update
-/// task ledger in [`crate::tasks`]) can persist their own record types
-/// without reinventing torn-tail recovery.
-///
-/// Differences from [`Journal`]: payloads are caller-defined byte
-/// strings with a caller-chosen size cap (task records carry document
-/// text, so the 9-byte operation cap does not apply), and every append
-/// is made durable immediately — a task ledger records state
-/// *transitions*, which are few and must not be lost.
-///
-/// The framing is byte-compatible: replay stops at the first torn or
-/// corrupt frame and truncates the file back to the last consistent
-/// prefix, exactly like the propagation journal. A pre-existing file
-/// written by an older version simply replays whatever records it
-/// holds; an absent file opens empty.
-#[derive(Debug)]
-pub struct RecordLog {
-    path: PathBuf,
-    file: File,
-    records: u64,
-    max_payload: usize,
-}
-
-impl RecordLog {
-    /// Open (or create) the record log at `path`, replaying surviving
-    /// records. A torn or corrupt tail is truncated away; the returned
-    /// payloads are the log's last consistent state in append order.
-    /// `max_payload` bounds accepted record sizes on both read and
-    /// write — a declared length above it marks corruption.
-    pub fn open(path: &Path, max_payload: usize) -> Result<(RecordLog, Vec<Vec<u8>>)> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        let mut records = Vec::new();
-        let mut valid_len = 0usize;
-        while let Some((payload, end)) = next_raw_frame(&bytes, valid_len, max_payload) {
-            records.push(payload.to_vec());
-            valid_len = end;
-        }
-        if valid_len < bytes.len() {
-            let f = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-            f.set_len(valid_len as u64).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(io_err)?;
-        let log = RecordLog {
-            path: path.to_path_buf(),
-            file,
-            records: records.len() as u64,
-            max_payload,
-        };
-        Ok((log, records))
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records currently in the file.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    fn check_len(&self, payload: &[u8]) -> Result<()> {
-        if payload.is_empty() || payload.len() > self.max_payload {
-            return Err(io_err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "record payload of {} bytes outside (0, {}]",
-                    payload.len(),
-                    self.max_payload
-                ),
-            )));
-        }
-        Ok(())
-    }
-
-    /// Durably append one record: written, flushed, and fsynced before
-    /// this returns.
-    pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        self.append_batch(std::slice::from_ref(&payload))
-    }
-
-    /// Durably append several records with **one** `sync_data` — the
-    /// group-commit path for multi-record transitions (e.g. marking a
-    /// whole task batch started).
-    pub fn append_batch<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<()> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
-        let mut out = Vec::new();
-        for p in payloads {
-            let p = p.as_ref();
-            self.check_len(p)?;
-            out.extend_from_slice(&raw_frame(p));
-        }
-        self.file.write_all(&out).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
-        self.records += payloads.len() as u64;
-        Ok(())
-    }
-
-    /// Atomically replace the log's contents with exactly `payloads`
-    /// (compaction). Temp file + fsync + rename, so a crash leaves
-    /// either the old or the new log.
-    pub fn rewrite<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<()> {
-        let mut out = Vec::new();
-        for p in payloads {
-            self.check_len(p.as_ref())?;
-            out.extend_from_slice(&raw_frame(p.as_ref()));
-        }
-        let file_name = self.path.file_name().ok_or_else(|| {
-            io_err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("record log path {} has no file name", self.path.display()),
-            ))
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = self.path.with_file_name(tmp_name);
-        {
-            let mut f = File::create(&tmp).map_err(io_err)?;
-            f.write_all(&out).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(io_err)?;
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err)?;
-        self.records = payloads.len() as u64;
-        Ok(())
+        Ok(self.log.clear()?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("coupling-journal-tests");
@@ -637,45 +247,7 @@ mod tests {
         for i in 0..3 {
             j.append(PendingOp::Insert(Oid(i))).unwrap();
         }
-        assert_eq!(j.syncs(), 3, "one sync_data per frame by default");
-    }
-
-    #[test]
-    fn group_commit_batches_syncs_by_count() {
-        let path = tmp("sync_group.journal");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.set_sync_policy(SyncPolicy::GroupCommit {
-            max_frames: 4,
-            max_delay: Duration::from_secs(3600),
-        });
-        for i in 0..8 {
-            j.append(PendingOp::Insert(Oid(i))).unwrap();
-        }
-        assert_eq!(j.syncs(), 2, "8 frames, groups of 4: two sync_data");
-        // A ninth frame stays unsynced until forced.
-        j.append(PendingOp::Insert(Oid(8))).unwrap();
-        assert_eq!(j.syncs(), 2);
-        j.sync().unwrap();
-        assert_eq!(j.syncs(), 3);
-        j.sync().unwrap();
-        assert_eq!(j.syncs(), 3, "sync with nothing pending is a no-op");
-        drop(j);
-        // Every frame (synced or not) was written; replay sees all nine.
-        let (_, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed.len(), 9);
-    }
-
-    #[test]
-    fn group_commit_time_bound_forces_a_sync() {
-        let path = tmp("sync_delay.journal");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.set_sync_policy(SyncPolicy::GroupCommit {
-            max_frames: 1000,
-            max_delay: Duration::from_millis(0),
-        });
-        // Zero delay: the age bound is already exceeded at every append.
-        j.append(PendingOp::Insert(Oid(1))).unwrap();
-        assert_eq!(j.syncs(), 1);
+        assert_eq!(j.syncs(), 3, "one sync_data per appended frame");
     }
 
     #[test]
@@ -722,61 +294,5 @@ mod tests {
         assert!(replayed.is_empty());
         assert_eq!(j.frames(), 0);
         assert!(path.exists(), "open creates the file");
-    }
-
-    #[test]
-    fn record_log_round_trip_and_torn_tail() {
-        let path = tmp("records.log");
-        {
-            let (mut log, replayed) = RecordLog::open(&path, 1024).unwrap();
-            assert!(replayed.is_empty());
-            log.append(b"alpha").unwrap();
-            log.append_batch(&[b"beta".as_slice(), b"gamma".as_slice()])
-                .unwrap();
-            assert_eq!(log.records(), 3);
-        }
-        {
-            let (_, replayed) = RecordLog::open(&path, 1024).unwrap();
-            assert_eq!(
-                replayed,
-                vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]
-            );
-        }
-        // Tear into the last record; the prefix survives.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-        let (log, replayed) = RecordLog::open(&path, 1024).unwrap();
-        assert_eq!(replayed, vec![b"alpha".to_vec(), b"beta".to_vec()]);
-        assert_eq!(log.records(), 2);
-    }
-
-    #[test]
-    fn record_log_rejects_oversize_and_empty_payloads() {
-        let path = tmp("records_cap.log");
-        let (mut log, _) = RecordLog::open(&path, 8).unwrap();
-        assert!(
-            log.append(b"123456789").is_err(),
-            "9 bytes over an 8-byte cap"
-        );
-        assert!(log.append(b"").is_err(), "empty payloads are unframeable");
-        assert!(log.append(b"12345678").is_ok());
-        // A record over the reader's cap stops replay there.
-        let (_, replayed) = RecordLog::open(&path, 4).unwrap();
-        assert!(replayed.is_empty());
-    }
-
-    #[test]
-    fn record_log_rewrite_compacts() {
-        let path = tmp("records_rewrite.log");
-        let (mut log, _) = RecordLog::open(&path, 64).unwrap();
-        for i in 0..10u8 {
-            log.append(&[i + 1]).unwrap();
-        }
-        log.rewrite(&[b"only".as_slice()]).unwrap();
-        assert_eq!(log.records(), 1);
-        log.append(b"after").unwrap();
-        drop(log);
-        let (_, replayed) = RecordLog::open(&path, 64).unwrap();
-        assert_eq!(replayed, vec![b"only".to_vec(), b"after".to_vec()]);
     }
 }

@@ -27,7 +27,7 @@ use oodb::{MethodCtx, Oid};
 
 use crate::collection::Collection;
 use crate::error::Result;
-use crate::journal::{Journal, SyncPolicy};
+use crate::journal::Journal;
 
 /// When updates reach the IRS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,21 +116,6 @@ impl Propagator {
             ..PropagationStats::default()
         };
         prop.journal = Some(journal);
-        Ok(prop)
-    }
-
-    /// [`Propagator::with_journal`] with an explicit journal
-    /// [`SyncPolicy`] — pass [`SyncPolicy::GroupCommit`] to amortise the
-    /// per-operation `sync_data` under deferred churn.
-    pub fn with_journal_policy(
-        strategy: PropagationStrategy,
-        path: &Path,
-        policy: SyncPolicy,
-    ) -> Result<Self> {
-        let mut prop = Self::with_journal(strategy, path)?;
-        if let Some(j) = &mut prop.journal {
-            j.set_sync_policy(policy);
-        }
         Ok(prop)
     }
 
@@ -258,17 +243,13 @@ impl Propagator {
         }
     }
 
-    /// Apply the cancellation optimisation to the journal file itself:
-    /// once it holds at least [`Journal::COMPACT_MIN`] frames and at
-    /// least twice the folded log, rewrite it to the folded operations.
+    /// Apply the cancellation optimisation to the journal file itself
+    /// ([`Journal::compact`]).
     fn maybe_compact(&mut self) -> Result<()> {
-        let compact = self.journal.as_ref().is_some_and(|j| {
-            j.frames() >= Journal::COMPACT_MIN && j.frames() >= 2 * self.log.len() as u64
-        });
-        if compact {
-            self.journal_rewrite()?;
+        match &mut self.journal {
+            Some(j) => j.compact(&self.log),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Fold `op` into the log, cancelling inverse pairs:
@@ -543,30 +524,6 @@ mod tests {
         // The batch is durable: a reopen replays every operation (folded).
         let recovered = Propagator::with_journal(PropagationStrategy::Deferred, &jpath).unwrap();
         assert_eq!(recovered.stats().replayed, ops.len() as u64);
-    }
-
-    #[test]
-    fn with_journal_policy_applies_group_commit() {
-        let (db, mut coll, paras) = setup();
-        let jpath = journal_tmp("policy_prop.journal");
-        let mut prop = Propagator::with_journal_policy(
-            PropagationStrategy::Deferred,
-            &jpath,
-            crate::journal::SyncPolicy::GroupCommit {
-                max_frames: 4,
-                max_delay: std::time::Duration::from_secs(3600),
-            },
-        )
-        .unwrap();
-        let ctx = db.method_ctx();
-        // Two modifies of each para: 2 * len(paras) = 4 frames → 1 sync.
-        for _ in 0..2 {
-            for &p in &paras {
-                prop.record(&ctx, &mut coll, PendingOp::Modify(p)).unwrap();
-            }
-        }
-        assert_eq!(prop.journal().unwrap().frames(), 4);
-        assert_eq!(prop.journal().unwrap().syncs(), 1, "grouped, not per-frame");
     }
 
     #[test]

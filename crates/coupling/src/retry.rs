@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use irs::fault::splitmix64;
 use parking_lot::Mutex;
 
 use crate::error::{CouplingError, Result};
@@ -77,11 +78,7 @@ impl RetryPolicy {
             .saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
         let capped = exp.min(self.max_backoff);
         // splitmix64 over seed ^ attempt → fraction in [0.5, 1.0].
-        let mut x = self.jitter_seed ^ u64::from(attempt);
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = splitmix64(self.jitter_seed ^ u64::from(attempt));
         let frac = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         capped.mul_f64(frac)
     }

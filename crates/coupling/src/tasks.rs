@@ -3,8 +3,8 @@
 //!
 //! Every mutation of the coupled system (`indexObjects`, text updates,
 //! propagation flushes) becomes a [`Task`]: enqueued with an id,
-//! persisted to a CRC-framed ledger (the same record framing as the
-//! propagation journal, see [`crate::journal::RecordLog`]), executed by
+//! persisted to a ledger on an [`oodb::log::Log`] (the record log under
+//! the propagation journal and the OODB write-ahead log), executed by
 //! a scheduler thread, and observable at every point of its lifecycle —
 //! [`TaskQueue::task_status`], [`TaskQueue::list_tasks`], and a
 //! subscribable bounded broadcast of [`TaskEvent`]s.
@@ -52,10 +52,10 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use oodb::log::Log;
 use oodb::Oid;
 
-use crate::error::{CouplingError, ErrorKind, Result};
-use crate::journal::RecordLog;
+use crate::error::{CouplingError, Result};
 use crate::persist::{journal_path, tasks_ledger_path};
 use crate::propagate::{PropagationStrategy, Propagator};
 use crate::shared::SharedSystem;
@@ -467,7 +467,7 @@ impl LedgerRecord {
 /// The task table plus its durable record log. All access is under the
 /// queue's mutex.
 struct Ledger {
-    log: Option<RecordLog>,
+    log: Option<Log>,
     tasks: BTreeMap<TaskId, Task>,
     /// Non-terminal task ids in enqueue order.
     pending: VecDeque<TaskId>,
@@ -492,7 +492,7 @@ impl Ledger {
         let Some(path) = path else {
             return Ok(ledger);
         };
-        let (log, records) = RecordLog::open(path, TASK_RECORD_MAX)?;
+        let (log, records) = Log::open(path, TASK_RECORD_MAX)?;
         for raw in &records {
             // Records that frame correctly but no longer decode (format
             // skew) are skipped rather than wedging recovery.
@@ -543,20 +543,15 @@ impl Ledger {
     }
 
     fn append(&mut self, record: &LedgerRecord) -> Result<()> {
-        match &mut self.log {
-            Some(log) => log.append(&record.encode()),
-            None => Ok(()),
-        }
+        self.append_all(std::slice::from_ref(record))
     }
 
     fn append_all(&mut self, records: &[LedgerRecord]) -> Result<()> {
-        match &mut self.log {
-            Some(log) => {
-                let encoded: Vec<Vec<u8>> = records.iter().map(LedgerRecord::encode).collect();
-                log.append_batch(&encoded)
-            }
-            None => Ok(()),
+        if let Some(log) = &mut self.log {
+            let encoded: Vec<Vec<u8>> = records.iter().map(LedgerRecord::encode).collect();
+            log.append_batch(&encoded)?;
         }
+        Ok(())
     }
 }
 
@@ -666,12 +661,6 @@ impl Broadcast {
 // Queue
 // ---------------------------------------------------------------------
 
-/// Callback invoked exactly once with a task's outcome: the executed
-/// count on success (objects indexed / collections recorded / ops
-/// flushed), or the admission or execution error. Used by the serving
-/// layer to resolve synchronous write tickets.
-pub type TaskWaiter = Box<dyn FnOnce(Result<u64>) + Send>;
-
 /// Counters of one [`TaskQueue`], all relaxed atomics.
 #[derive(Debug, Default)]
 struct QueueCounters {
@@ -705,7 +694,6 @@ pub struct TaskQueueStats {
 
 struct QueueInner {
     ledger: Mutex<Ledger>,
-    waiters: Mutex<HashMap<TaskId, TaskWaiter>>,
     /// Signalled on enqueue and close; the scheduler waits here.
     work: Condvar,
     events: Broadcast,
@@ -738,7 +726,6 @@ impl TaskQueue {
         let queue = TaskQueue {
             inner: Arc::new(QueueInner {
                 ledger: Mutex::new(ledger),
-                waiters: Mutex::new(HashMap::new()),
                 work: Condvar::new(),
                 events: Broadcast::new(event_capacity),
                 counters: QueueCounters::default(),
@@ -755,74 +742,52 @@ impl TaskQueue {
     /// with [`CouplingError::Overloaded`], a closed one with
     /// [`CouplingError::ShuttingDown`].
     pub fn enqueue(&self, kind: TaskKind) -> Result<TaskId> {
-        self.enqueue_inner(kind, None).map(|(id, _)| id)
-    }
-
-    /// [`TaskQueue::enqueue`] plus a completion callback. The waiter is
-    /// always consumed: invoked with the admission error when enqueue
-    /// is refused (then `None` is returned), or with the execution
-    /// outcome once the task finishes.
-    pub fn enqueue_with_waiter(&self, kind: TaskKind, waiter: TaskWaiter) -> Option<TaskId> {
-        match self.enqueue_inner(kind, Some(waiter)) {
-            Ok((id, _)) => Some(id),
-            Err(_) => None,
-        }
-    }
-
-    fn enqueue_inner(&self, kind: TaskKind, waiter: Option<TaskWaiter>) -> Result<(TaskId, ())> {
-        let admission = (|| {
-            if self.inner.closed.load(Ordering::Acquire) {
-                return Err(CouplingError::ShuttingDown);
-            }
-            let mut ledger = lock_recover(&self.inner.ledger);
-            if ledger.pending.len() >= self.inner.capacity {
-                return Err(CouplingError::Overloaded(self.inner.capacity));
-            }
-            let id = ledger.next_id;
-            let tick = ledger.tick + 1;
-            ledger.append(&LedgerRecord::Enqueued {
-                id,
-                tick,
-                kind: kind.clone(),
-            })?;
-            ledger.next_id = id + 1;
-            ledger.tick = tick;
-            ledger.tasks.insert(
-                id,
-                Task {
-                    id,
-                    kind,
-                    status: TaskStatus::Enqueued,
-                    enqueued_at: tick,
-                    batch_id: None,
-                },
-            );
-            ledger.pending.push_back(id);
-            drop(ledger);
-            Ok(id)
-        })();
-        match admission {
+        let admitted = self.admit(kind);
+        match &admitted {
             Ok(id) => {
-                if let Some(waiter) = waiter {
-                    lock_recover(&self.inner.waiters).insert(id, waiter);
-                }
                 self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
                 self.inner.depth.fetch_add(1, Ordering::Relaxed);
-                self.inner.events.publish(&TaskEvent::Enqueued(id));
+                self.inner.events.publish(&TaskEvent::Enqueued(*id));
                 self.inner.work.notify_all();
-                Ok((id, ()))
             }
-            Err(e) => {
+            Err(_) => {
                 self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(waiter) = waiter {
-                    waiter(Err(e));
-                    // The error moved into the waiter; report rejection
-                    // with a synthesized twin for the Result contract.
-                    return Err(CouplingError::ShuttingDown);
-                }
-                Err(e)
             }
         }
+        admitted
+    }
+
+    /// Admission proper: durably append the `Enqueued` record and add
+    /// the task to the table.
+    fn admit(&self, kind: TaskKind) -> Result<TaskId> {
+        if self.inner.closed.load(Ordering::Acquire) {
+            return Err(CouplingError::ShuttingDown);
+        }
+        let mut ledger = lock_recover(&self.inner.ledger);
+        if ledger.pending.len() >= self.inner.capacity {
+            return Err(CouplingError::Overloaded(self.inner.capacity));
+        }
+        let id = ledger.next_id;
+        let tick = ledger.tick + 1;
+        ledger.append(&LedgerRecord::Enqueued {
+            id,
+            tick,
+            kind: kind.clone(),
+        })?;
+        ledger.next_id = id + 1;
+        ledger.tick = tick;
+        ledger.tasks.insert(
+            id,
+            Task {
+                id,
+                kind,
+                status: TaskStatus::Enqueued,
+                enqueued_at: tick,
+                batch_id: None,
+            },
+        );
+        ledger.pending.push_back(id);
+        Ok(id)
     }
 
     /// The current state of task `id`.
@@ -843,6 +808,16 @@ impl TaskQueue {
     /// Subscribe to the lifecycle event stream from this point on.
     pub fn subscribe(&self) -> TaskSubscriber {
         self.inner.events.subscribe()
+    }
+
+    /// `sync_data` calls issued on the ledger file since open (0 for an
+    /// in-memory ledger) — three per executed batch (`Enqueued`,
+    /// `Started`, `Finished`) for a single task.
+    pub fn ledger_syncs(&self) -> u64 {
+        lock_recover(&self.inner.ledger)
+            .log
+            .as_ref()
+            .map_or(0, Log::syncs)
     }
 
     /// Tasks currently enqueued or processing.
@@ -947,12 +922,11 @@ impl TaskQueue {
         Ok(Some(Batch { tasks }))
     }
 
-    /// Durably record a batch outcome and resolve its waiters.
-    fn finish_batch(&self, batch: &Batch, outcome: &std::result::Result<u64, (ErrorKind, String)>) {
-        let (ok, error) = match outcome {
-            Ok(_) => (true, String::new()),
-            Err((_, message)) => (false, message.clone()),
-        };
+    /// Durably record a batch outcome: success, or the execution error's
+    /// message.
+    fn finish_batch(&self, batch: &Batch, error: Option<String>) {
+        let ok = error.is_none();
+        let error = error.unwrap_or_default();
         let records: Vec<LedgerRecord> = batch
             .tasks
             .iter()
@@ -986,20 +960,6 @@ impl TaskQueue {
             &self.inner.counters.failed
         };
         counter.fetch_add(batch.tasks.len() as u64, Ordering::Relaxed);
-        let mut waiters = lock_recover(&self.inner.waiters);
-        for task in &batch.tasks {
-            if let Some(waiter) = waiters.remove(&task.id) {
-                let result = match outcome {
-                    Ok(count) => Ok(*count),
-                    Err((kind, message)) => Err(CouplingError::TaskFailed {
-                        kind: *kind,
-                        message: message.clone(),
-                    }),
-                };
-                waiter(result);
-            }
-        }
-        drop(waiters);
         self.inner
             .depth
             .fetch_sub(batch.tasks.len() as u64, Ordering::Relaxed);
@@ -1156,6 +1116,11 @@ impl TaskExecutor {
         &self.queue
     }
 
+    /// The propagator of collection `name`, once a task has used it.
+    pub fn propagator(&self, name: &str) -> Option<&Propagator> {
+        self.propagators.get(name)
+    }
+
     /// Execute one batch if work is immediately available. Returns
     /// whether a batch ran.
     pub fn step(&mut self) -> bool {
@@ -1214,20 +1179,19 @@ impl TaskExecutor {
     fn execute(&mut self, batch: &Batch) {
         // A panic inside execution must not kill the scheduler thread or
         // leave the batch unresolved.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.execute_batch(batch)));
-        let outcome = match outcome {
-            Ok(Ok(count)) => Ok(count),
-            Ok(Err(e)) => Err((e.kind(), e.to_string())),
-            Err(_) => Err((ErrorKind::Other, "task execution panicked".to_string())),
+        let error = match catch_unwind(AssertUnwindSafe(|| self.execute_batch(batch))) {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(e.to_string()),
+            Err(_) => Some("task execution panicked".to_string()),
         };
-        self.queue.finish_batch(batch, &outcome);
+        self.queue.finish_batch(batch, error);
     }
 
     /// Run the merged work of one batch. Merged `IndexObjects` tasks
     /// execute **once** (the run is idempotent); merged `UpdateText`
     /// tasks apply in order under one write lock with batched
     /// propagation; merged flushes fold into one.
-    fn execute_batch(&mut self, batch: &Batch) -> Result<u64> {
+    fn execute_batch(&mut self, batch: &Batch) -> Result<()> {
         let head = &batch.tasks[0].kind;
         match head {
             TaskKind::IndexObjects {
@@ -1255,24 +1219,19 @@ impl TaskExecutor {
         }
         match &self.config.journal_dir {
             Some(dir) => {
-                let path = journal_path(dir, name);
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| CouplingError::Irs(irs::IrsError::Io(e)))?;
-                }
-                Propagator::with_journal(self.config.propagation, &path)
+                Propagator::with_journal(self.config.propagation, &journal_path(dir, name))
             }
             None => Ok(Propagator::new(self.config.propagation)),
         }
     }
 
-    fn run_index_objects(&mut self, collection: &str, spec_query: &str) -> Result<u64> {
+    fn run_index_objects(&mut self, collection: &str, spec_query: &str) -> Result<()> {
         let shared = self.shared.clone();
         let propagators = &mut self.propagators;
         shared.write(|sys| {
             let mut coll = sys.collection_mut(collection)?;
             let db = coll.db();
-            let objects = coll.index_objects_batch(db, spec_query)?;
+            coll.index_objects_batch(db, spec_query)?;
             // A re-index invalidates any deferred ops for this collection
             // recorded before it: fold them away so the flush at shutdown
             // does not redo stale work.
@@ -1282,7 +1241,7 @@ impl TaskExecutor {
                     let _ = prop.flush(&ctx, &mut coll);
                 }
             }
-            Ok(objects as u64)
+            Ok(())
         })
     }
 
@@ -1290,7 +1249,7 @@ impl TaskExecutor {
         &mut self,
         updates: &[(Oid, String)],
         collections: &[String],
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let shared = self.shared.clone();
         let mut taken: Vec<(String, Propagator)> = Vec::with_capacity(collections.len());
         for name in collections {
@@ -1309,15 +1268,11 @@ impl TaskExecutor {
                 .collect();
             sys.update_texts(updates, &mut targets)
         });
-        let count = taken.len() as u64;
-        for (name, prop) in taken {
-            self.propagators.insert(name, prop);
-        }
-        result?;
-        Ok(count)
+        self.propagators.extend(taken);
+        result
     }
 
-    fn run_flush(&mut self, collection: &str) -> Result<u64> {
+    fn run_flush(&mut self, collection: &str) -> Result<()> {
         let shared = self.shared.clone();
         let mut prop = self.take_propagator(collection)?;
         let result = shared.write(|sys| {
@@ -1326,7 +1281,7 @@ impl TaskExecutor {
             prop.flush(&ctx, &mut coll)
         });
         self.propagators.insert(collection.to_string(), prop);
-        Ok(result? as u64)
+        result.map(drop)
     }
 }
 
@@ -1357,9 +1312,6 @@ impl Scheduler {
     /// Open the ledger (replaying surviving tasks) and start the
     /// executor thread over `shared`.
     pub fn start(shared: SharedSystem, config: SchedulerConfig) -> Result<Scheduler> {
-        if let Some(dir) = &config.journal_dir {
-            std::fs::create_dir_all(dir).map_err(|e| CouplingError::Irs(irs::IrsError::Io(e)))?;
-        }
         let queue = TaskQueue::open(
             config.ledger_path().as_deref(),
             config.queue_capacity,
@@ -1622,39 +1574,6 @@ mod tests {
         });
         assert_eq!(ghost_tasks.len(), 1);
         assert_eq!(queue.list_tasks(&TaskFilter::default()).len(), 2);
-    }
-
-    #[test]
-    fn waiters_resolve_with_outcome() {
-        let shared = two_para_system();
-        let queue = TaskQueue::open(None, 64, 16).unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let id = queue
-            .enqueue_with_waiter(
-                index_task(),
-                Box::new(move |result| {
-                    tx.send(result.map_err(|e| e.kind())).unwrap();
-                }),
-            )
-            .expect("admitted");
-        assert!(id > 0);
-        let mut executor = TaskExecutor::new(shared, queue.clone(), SchedulerConfig::default());
-        executor.drain();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), Ok(2));
-        // A rejected enqueue resolves the waiter immediately.
-        queue.close();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let refused = queue.enqueue_with_waiter(
-            index_task(),
-            Box::new(move |result| {
-                tx.send(result.map_err(|e| e.kind())).unwrap();
-            }),
-        );
-        assert!(refused.is_none());
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(1)).unwrap(),
-            Err(ErrorKind::Overloaded)
-        );
     }
 
     #[test]

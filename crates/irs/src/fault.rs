@@ -24,9 +24,11 @@ use std::time::Duration;
 
 use crate::error::{IrsError, Result};
 
-/// splitmix64 — a tiny, high-quality mixing function. Deterministic
-/// per-operation fault decisions hash the seed with the op counter.
-fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64 — a tiny, high-quality mixing function, and the
+/// workspace's one seeded mixer: deterministic per-operation fault
+/// decisions here hash the seed with the op counter, and network chaos
+/// (`serve::chaos`) and retry jitter (`coupling::retry`) reuse it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

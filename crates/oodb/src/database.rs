@@ -16,7 +16,10 @@ use crate::txn::{Txn, UndoOp};
 use crate::value::Value;
 
 const SNAPSHOT_FILE: &str = "snapshot.odb";
-const WAL_FILE: &str = "wal.odb";
+const WAL_FILE: &str = "wal.log";
+/// The pre-[`crate::log::Log`] WAL, migrated (replayed, checkpointed and
+/// removed) the first time [`Database::open`] finds it.
+const LEGACY_WAL_FILE: &str = "wal.odb";
 
 /// An object-oriented database. Create with [`Database::in_memory`] for a
 /// volatile instance or [`Database::open`] for a durable one (snapshot +
@@ -54,6 +57,8 @@ impl Database {
 
     /// Open (or create) a durable database in `dir`: loads the snapshot if
     /// present, replays the WAL tail, and appends future commits to it.
+    /// A legacy `wal.odb` found there is replayed once, checkpointed into
+    /// the snapshot and removed.
     pub fn open(dir: &Path) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
         let mut db = Database::in_memory();
@@ -76,13 +81,23 @@ impl Database {
             db.backfill_all_indexes();
         }
 
-        let wal_path = dir.join(WAL_FILE);
-        if wal_path.exists() {
-            for record in wal::replay(&wal_path)? {
+        let legacy_path = dir.join(LEGACY_WAL_FILE);
+        let migrate = legacy_path.exists();
+        if migrate {
+            for record in wal::replay_legacy(&legacy_path)? {
                 db.apply_record(record)?;
             }
         }
-        db.wal = Some(WalWriter::open(&wal_path)?);
+        let (writer, records) = wal::open(&dir.join(WAL_FILE))?;
+        for record in records {
+            db.apply_record(record)?;
+        }
+        db.wal = Some(writer);
+        if migrate {
+            // The checkpoint folds the legacy records into the snapshot
+            // and removes the legacy file.
+            db.checkpoint()?;
+        }
         Ok(db)
     }
 
@@ -91,6 +106,7 @@ impl Database {
     pub fn persist_to(&mut self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         self.dir = Some(dir.to_path_buf());
+        self.wal = None;
         self.checkpoint()
     }
 
@@ -107,11 +123,17 @@ impl Database {
             &self.index_defs,
             &self.store,
         )?;
-        // Truncate the WAL by re-creating it.
-        let wal_path = dir.join(WAL_FILE);
-        self.wal = None;
-        std::fs::write(&wal_path, b"")?;
-        self.wal = Some(WalWriter::open(&wal_path)?);
+        let mut wal = match self.wal.take() {
+            Some(wal) => wal,
+            None => WalWriter::open(&dir.join(WAL_FILE))?,
+        };
+        wal.clear()?;
+        self.wal = Some(wal);
+        // The snapshot now covers a legacy WAL's records too.
+        let legacy = dir.join(LEGACY_WAL_FILE);
+        if legacy.exists() {
+            std::fs::remove_file(legacy)?;
+        }
         Ok(())
     }
 

@@ -31,6 +31,7 @@
 pub mod database;
 pub mod error;
 pub mod index;
+pub mod log;
 pub mod method;
 pub mod object;
 pub mod oid;

@@ -1,19 +1,30 @@
 //! Write-ahead log.
 //!
 //! Redo-only logging: a transaction's records are buffered in memory and
-//! appended as one batch terminated by a commit marker. Recovery replays
-//! complete batches and discards a trailing partial batch (torn write).
+//! appended as **one** [`Log`] record — the records' encodings followed
+//! by a [`Record::Commit`] marker — made durable with one `sync_data`.
 //! DDL (class and index definitions) is logged the same way as its own
-//! single-record batch.
+//! single-record batch. Recovery replays complete batches in order. The
+//! log's CRC framing ends replay at the first torn or damaged batch and
+//! truncates it away, so a crash mid-append loses only that batch and a
+//! flipped bit is never replayed as data. A CRC-valid batch that does
+//! not decode (a writer bug or a format skew, not a crash) is
+//! [`DbError::Corrupt`].
+//!
+//! Logs written before the move to [`Log`] framing (`wal.odb`:
+//! `[varint len][payload]` frames, no CRC) are read once by a private
+//! reader when [`crate::Database::open`] migrates them.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{DbError, Result};
+use crate::log::Log;
 use crate::oid::Oid;
 use crate::util::{read_str, read_varint, write_str, write_varint};
 use crate::value::Value;
+
+/// Largest batch the log accepts: the framing's `u32` length limit.
+const MAX_BATCH: usize = u32::MAX as usize;
 
 /// One redo record.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,46 +149,79 @@ impl Record {
     }
 }
 
+/// Decode one committed batch: records up to a [`Record::Commit`]
+/// marker that ends the payload exactly. `None` if it does not decode.
+fn decode_batch(payload: &[u8]) -> Option<Vec<Record>> {
+    let mut pos = 0usize;
+    let mut batch = Vec::new();
+    loop {
+        match Record::decode(payload, &mut pos)? {
+            Record::Commit => return (pos == payload.len()).then_some(batch),
+            record => batch.push(record),
+        }
+    }
+}
+
 /// Appender for the WAL file.
 #[derive(Debug)]
 pub struct WalWriter {
-    file: BufWriter<File>,
+    log: Log,
 }
 
 impl WalWriter {
-    /// Open (creating or appending to) the WAL at `path`.
+    /// Open (creating or appending to) the WAL at `path`. A torn tail is
+    /// truncated first, so appends continue after the last complete
+    /// batch.
     pub fn open(path: &Path) -> Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(WalWriter {
-            file: BufWriter::new(file),
-        })
+        let (log, _) = Log::open(path, MAX_BATCH)?;
+        Ok(WalWriter { log })
     }
 
-    /// Append `records` followed by a commit marker, then flush. The batch
-    /// is atomic with respect to recovery.
+    /// Append `records` followed by a commit marker as one log record,
+    /// then sync. The batch is atomic with respect to recovery.
     pub fn append_batch(&mut self, records: &[Record]) -> Result<()> {
         let mut payload = Vec::new();
         for r in records {
             r.encode(&mut payload);
         }
         Record::Commit.encode(&mut payload);
-        // Frame: length prefix lets recovery detect torn tails cheaply.
-        let mut framed = Vec::with_capacity(payload.len() + 10);
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        Ok(())
+        self.log.append(&payload)
+    }
+
+    /// Durably empty the WAL (after a checkpoint).
+    pub fn clear(&mut self) -> Result<()> {
+        self.log.clear()
     }
 }
 
-/// Read every complete batch from the WAL at `path`. A truncated trailing
-/// frame (crash mid-write) is silently discarded; corruption *within* a
-/// complete frame is an error.
+/// Open the WAL at `path`: every record of every complete batch, in
+/// order, plus a writer appending after them. A torn or CRC-damaged tail
+/// is truncated away; a CRC-valid batch that does not decode is
+/// [`DbError::Corrupt`].
+pub fn open(path: &Path) -> Result<(WalWriter, Vec<Record>)> {
+    let (log, payloads) = Log::open(path, MAX_BATCH)?;
+    let mut records = Vec::new();
+    for (i, payload) in payloads.iter().enumerate() {
+        let batch = decode_batch(payload).ok_or_else(|| {
+            DbError::Corrupt(format!(
+                "wal batch {i} does not decode as a committed batch"
+            ))
+        })?;
+        records.extend(batch);
+    }
+    Ok((WalWriter { log }, records))
+}
+
+/// Read every complete batch from the WAL at `path` (see [`open`]).
 pub fn replay(path: &Path) -> Result<Vec<Record>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
+    open(path).map(|(_, records)| records)
+}
+
+/// Read a legacy `[varint len][payload]` WAL. A truncated trailing frame
+/// is discarded; a complete frame that does not decode as a committed
+/// batch is an error.
+pub(crate) fn replay_legacy(path: &Path) -> Result<Vec<Record>> {
+    let buf = std::fs::read(path)?;
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
@@ -185,37 +229,20 @@ pub fn replay(path: &Path) -> Result<Vec<Record>> {
         let Some(len) = read_varint(&buf, &mut pos) else {
             break; // torn length prefix
         };
-        let len = len as usize;
-        if pos + len > buf.len() {
-            let _ = frame_start;
+        let Some(end) = usize::try_from(len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&end| end <= buf.len())
+        else {
             break; // torn payload
-        }
-        let frame = &buf[pos..pos + len];
-        pos += len;
-        let mut fpos = 0usize;
-        let mut batch = Vec::new();
-        let mut committed = false;
-        while fpos < frame.len() {
-            match Record::decode(frame, &mut fpos) {
-                Some(Record::Commit) => {
-                    committed = true;
-                    break;
-                }
-                Some(r) => batch.push(r),
-                None => {
-                    return Err(DbError::Corrupt(format!(
-                        "undecodable record at wal byte {}",
-                        frame_start
-                    )))
-                }
-            }
-        }
-        if !committed {
-            return Err(DbError::Corrupt(format!(
-                "frame at wal byte {frame_start} lacks commit marker"
-            )));
-        }
+        };
+        let batch = decode_batch(&buf[pos..end]).ok_or_else(|| {
+            DbError::Corrupt(format!(
+                "undecodable legacy wal frame at byte {frame_start}"
+            ))
+        })?;
         records.extend(batch);
+        pos = end;
     }
     Ok(records)
 }
@@ -286,27 +313,26 @@ mod tests {
         assert_eq!(records.len(), sample_batch().len(), "partial batch dropped");
     }
 
+    /// Write `payload` as one CRC-valid log record.
+    fn write_log_record(path: &Path, payload: &[u8]) {
+        let (mut log, _) = Log::open(path, MAX_BATCH).unwrap();
+        log.append(payload).unwrap();
+    }
+
     #[test]
     fn frame_without_commit_marker_is_corrupt() {
         let path = tmp("nocommit.wal");
-        // Hand-craft a frame holding one record but no marker.
+        // A CRC-valid log record holding one record but no marker.
         let mut payload = Vec::new();
         Record::Delete { oid: Oid(1) }.encode(&mut payload);
-        let mut framed = Vec::new();
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        std::fs::write(&path, &framed).unwrap();
+        write_log_record(&path, &payload);
         assert!(matches!(replay(&path), Err(DbError::Corrupt(_))));
     }
 
     #[test]
     fn garbage_within_frame_is_corrupt() {
         let path = tmp("garbage.wal");
-        let payload = vec![99u8, 1, 2, 3];
-        let mut framed = Vec::new();
-        write_varint(&mut framed, payload.len() as u64);
-        framed.extend_from_slice(&payload);
-        std::fs::write(&path, &framed).unwrap();
+        write_log_record(&path, &[99u8, 1, 2, 3]);
         assert!(matches!(replay(&path), Err(DbError::Corrupt(_))));
     }
 

@@ -1,5 +1,6 @@
 //! Small binary-encoding helpers shared by the WAL and snapshot formats,
-//! plus the crash-safe file-write primitives the snapshot uses.
+//! plus the crash-safe file-write primitives the snapshot and
+//! [`crate::log`] use.
 
 use std::fs::File;
 use std::io::Write;
@@ -39,14 +40,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Crash-safe file write: `payload` plus a 4-byte little-endian CRC-32
-/// trailer goes to `<path>.tmp`, is `sync_all`ed, and is atomically
-/// renamed over `path`. A crash at any point leaves either the old file
-/// or the complete new one.
+/// trailer atomically replaces `path` (see [`atomic_replace`]). A crash
+/// at any point leaves either the old file or the complete new one.
 pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<()> {
+    atomic_replace(path, &[payload, &crc32(payload).to_le_bytes()])
+}
+
+/// Atomically replace `path` with the concatenation of `parts`: they go
+/// to `<path>.tmp`, which is `sync_all`ed and renamed over `path`, and
+/// the directory is fsynced so the rename itself persists.
+pub fn atomic_replace(path: &Path, parts: &[&[u8]]) -> Result<()> {
     let file_name = path.file_name().ok_or_else(|| {
         DbError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("atomic_write: path {} has no file name", path.display()),
+            format!("atomic write: path {} has no file name", path.display()),
         ))
     })?;
     let mut tmp_name = file_name.to_os_string();
@@ -54,8 +61,9 @@ pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<()> {
     let tmp = path.with_file_name(tmp_name);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(payload)?;
-        f.write_all(&crc32(payload).to_le_bytes())?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;

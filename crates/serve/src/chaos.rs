@@ -31,6 +31,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use irs::fault::splitmix64;
+
 /// What the proxy does to one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosMode {
@@ -46,15 +48,6 @@ pub enum ChaosMode {
     /// Forward at most this many upstream→client bytes, then cut both
     /// directions (typically mid-frame).
     Truncate(usize),
-}
-
-/// splitmix64 — the same mixing function [`irs::fault`] uses, so chaos
-/// decisions are deterministic pure functions of `(seed, connection)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Per-category salts so each fault category rolls an independent

@@ -293,8 +293,7 @@ impl Client {
         }
     }
 
-    /// Enqueue a mutation and block until it executes — the convenience
-    /// that replaces the deprecated synchronous write requests. A task
+    /// Enqueue a mutation and block until it executes. A task
     /// that executed but failed comes back as a synthesized
     /// [`ClientError::Remote`] fault carrying the task's error.
     pub fn write_and_wait(

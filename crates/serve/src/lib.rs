@@ -20,8 +20,7 @@
 //! * **Asynchronous writes** — [`Request::EnqueueTask`] answers
 //!   immediately with a task id (wire status 202); progress is observed
 //!   via [`Request::TaskStatus`] / [`Request::ListTasks`] or awaited
-//!   with [`Client::write_and_wait`]. The old synchronous write shapes
-//!   are deprecated and now ride the same queue.
+//!   with [`Client::write_and_wait`]. It is the only write request.
 //! * **Admission control** — bounded queues reject excess load
 //!   immediately ([`coupling::ErrorKind::Overloaded`]) instead of
 //!   building unbounded backlogs.

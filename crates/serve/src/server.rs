@@ -10,9 +10,7 @@
 //! single executor thread — there is exactly one mutator, so
 //! propagation logs never race — and merged with adjacent compatible
 //! tasks into shared batches. [`Request::EnqueueTask`] answers
-//! immediately with the task id (202-accepted style); the deprecated
-//! synchronous write shapes still block until their task executes, via
-//! a completion waiter on the queue.
+//! immediately with the task id (202-accepted style).
 //!
 //! Admission control is reject-not-queue: a full queue fails the
 //! request immediately with [`CouplingError::Overloaded`], keeping
@@ -32,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use coupling::tasks::{Scheduler, SchedulerConfig, TaskKind, TaskQueue, TaskWaiter};
+use coupling::tasks::{Scheduler, SchedulerConfig, TaskQueue};
 use coupling::{
     evaluate_mixed, CouplingError, DocumentSystem, PropagationStrategy, ResultOrigin, SharedSystem,
 };
@@ -443,10 +441,8 @@ impl Server {
         ticket
     }
 
-    /// Route a write request into the task queue. `EnqueueTask` resolves
-    /// the ticket immediately with the accepted id; the deprecated
-    /// synchronous shapes resolve when their task finishes executing.
-    #[allow(deprecated)]
+    /// Route a write request into the task queue: the ticket resolves
+    /// immediately with the accepted id.
     fn submit_write(&self, request: Request, completion: Completion) {
         let Some(queue) = &self.state.task_queue else {
             // No scheduler only happens on read-only servers, which are
@@ -455,96 +451,29 @@ impl Server {
             completion.complete(Err(CouplingError::ShuttingDown));
             return;
         };
-        let reject = |metrics: &Metrics, err: &CouplingError| match err {
-            CouplingError::Overloaded(_) => metrics.request_rejected_overload(),
-            CouplingError::ShuttingDown => metrics.request_rejected_shutdown(),
-            _ => metrics.request_failed(),
+        let Request::EnqueueTask { kind } = request else {
+            self.state.metrics.request_failed();
+            completion.complete(Err(CouplingError::BadSpecQuery(format!(
+                "read request {:?} routed to the write path",
+                request.label()
+            ))));
+            return;
         };
-        match request {
-            Request::EnqueueTask { kind } => {
-                let start = Instant::now();
-                match queue.enqueue(kind) {
-                    Ok(id) => {
-                        self.state.metrics.request_submitted();
-                        self.state.metrics.request_completed(start.elapsed(), None);
-                        completion.complete(Ok(Response::TaskAccepted(id)));
-                    }
-                    Err(err) => {
-                        reject(&self.state.metrics, &err);
-                        completion.complete(Err(err));
-                    }
-                }
-            }
-            Request::UpdateText {
-                oid,
-                text,
-                collections,
-            } => self.submit_legacy_write(
-                TaskKind::UpdateText {
-                    oid,
-                    text,
-                    collections,
-                },
-                false,
-                completion,
-            ),
-            Request::IndexObjects {
-                collection,
-                spec_query,
-            } => self.submit_legacy_write(
-                TaskKind::IndexObjects {
-                    collection,
-                    spec_query,
-                },
-                true,
-                completion,
-            ),
-            other => {
-                self.state.metrics.request_failed();
-                completion.complete(Err(CouplingError::BadSpecQuery(format!(
-                    "read request {:?} routed to the write path",
-                    other.label()
-                ))));
-            }
-        }
-    }
-
-    /// The deprecated blocking write shapes: enqueue the task with a
-    /// waiter that resolves the caller's ticket on execution, preserving
-    /// the old call-and-wait semantics over the new durable queue.
-    fn submit_legacy_write(&self, kind: TaskKind, indexed: bool, completion: Completion) {
-        let queue = self
-            .state
-            .task_queue
-            .as_ref()
-            .expect("submit_write checked the scheduler exists");
-        let state = Arc::clone(&self.state);
-        let enqueued = Instant::now();
-        let waiter: TaskWaiter = Box::new(move |result| match result {
-            Ok(count) => {
-                state.metrics.request_completed(enqueued.elapsed(), None);
-                let response = if indexed {
-                    Response::Indexed {
-                        objects: count as usize,
-                    }
-                } else {
-                    Response::Updated {
-                        collections: count as usize,
-                    }
-                };
-                completion.complete(Ok(response));
+        let start = Instant::now();
+        match queue.enqueue(kind) {
+            Ok(id) => {
+                self.state.metrics.request_submitted();
+                self.state.metrics.request_completed(start.elapsed(), None);
+                completion.complete(Ok(Response::TaskAccepted(id)));
             }
             Err(err) => {
                 match &err {
-                    CouplingError::Overloaded(_) => state.metrics.request_rejected_overload(),
-                    CouplingError::ShuttingDown => state.metrics.request_rejected_shutdown(),
-                    _ => state.metrics.request_failed(),
+                    CouplingError::Overloaded(_) => self.state.metrics.request_rejected_overload(),
+                    CouplingError::ShuttingDown => self.state.metrics.request_rejected_shutdown(),
+                    _ => self.state.metrics.request_failed(),
                 }
                 completion.complete(Err(err));
             }
-        });
-        if queue.enqueue_with_waiter(kind, waiter).is_some() {
-            self.state.metrics.request_submitted();
         }
     }
 

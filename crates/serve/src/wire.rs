@@ -718,8 +718,12 @@ fn decode_task_filter(d: &mut Dec<'_>) -> WireResult<TaskFilter> {
     Ok(TaskFilter { status, collection })
 }
 
+/// Request tags of the retired synchronous write shapes. They stay
+/// reserved: [`decode_request`] answers them with a
+/// [`WireError::Malformed`] that points at `EnqueueTask`.
+const RETIRED_REQUEST_TAGS: [(u8, &str); 2] = [(3, "UpdateText"), (4, "IndexObjects")];
+
 /// Encode a request as a frame payload.
-#[allow(deprecated)]
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     match req {
@@ -751,27 +755,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_str(&mut buf, collection);
             put_str(&mut buf, query);
             put_u64(&mut buf, oid.0);
-        }
-        Request::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(3);
-            put_u64(&mut buf, oid.0);
-            put_str(&mut buf, text);
-            put_u32(&mut buf, collections.len() as u32);
-            for name in collections {
-                put_str(&mut buf, name);
-            }
-        }
-        Request::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(4);
-            put_str(&mut buf, collection);
-            put_str(&mut buf, spec_query);
         }
         Request::Ping => {
             buf.push(5);
@@ -811,7 +794,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decode a request frame payload. Strict: unknown tags, truncated
 /// fields, and trailing bytes are all [`WireError::Malformed`].
-#[allow(deprecated)]
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
     let mut d = Dec::new(payload);
     let req = match d.u8("request tag")? {
@@ -830,24 +812,6 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             collection: d.string("collection")?,
             query: d.string("query")?,
             oid: Oid(d.u64("oid")?),
-        },
-        3 => {
-            let oid = Oid(d.u64("oid")?);
-            let text = d.string("text")?;
-            let n = d.count(4, "collection list")?;
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(d.string("collection name")?);
-            }
-            Request::UpdateText {
-                oid,
-                text,
-                collections,
-            }
-        }
-        4 => Request::IndexObjects {
-            collection: d.string("collection")?,
-            spec_query: d.string("spec query")?,
         },
         5 => Request::Ping,
         6 => Request::TermStats {
@@ -869,7 +833,16 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         10 => Request::ListTasks {
             filter: decode_task_filter(&mut d)?,
         },
-        other => return Err(WireError::Malformed(format!("unknown request tag {other}"))),
+        other => {
+            return Err(WireError::Malformed(
+                match RETIRED_REQUEST_TAGS.iter().find(|(tag, _)| *tag == other) {
+                    Some((_, name)) => format!(
+                        "request kind {name} (tag {other}) is retired; send EnqueueTask instead"
+                    ),
+                    None => format!("unknown request tag {other}"),
+                },
+            ))
+        }
     };
     d.finish()?;
     Ok(req)
@@ -904,14 +877,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Value(v) => {
             buf.push(2);
             put_f64(&mut buf, *v);
-        }
-        Response::Updated { collections } => {
-            buf.push(3);
-            put_u64(&mut buf, *collections as u64);
-        }
-        Response::Indexed { objects } => {
-            buf.push(4);
-            put_u64(&mut buf, *objects as u64);
         }
         Response::Pong => {
             buf.push(5);
@@ -977,12 +942,6 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
             }
         }
         2 => Response::Value(d.f64("value")?),
-        3 => Response::Updated {
-            collections: d.u64("collection count")? as usize,
-        },
-        4 => Response::Indexed {
-            objects: d.u64("object count")? as usize,
-        },
         5 => Response::Pong,
         6 => Response::TermStats(decode_globals(&mut d)?),
         7 => {
@@ -1140,7 +1099,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn request_codec_roundtrips_every_variant() {
         let requests = vec![
             Request::IrsQuery {
@@ -1158,15 +1116,6 @@ mod tests {
                 collection: "c".into(),
                 query: "q".into(),
                 oid: Oid(17),
-            },
-            Request::UpdateText {
-                oid: Oid(3),
-                text: "ünïcodé text".into(),
-                collections: vec!["a".into(), "b".into()],
-            },
-            Request::IndexObjects {
-                collection: "c".into(),
-                spec_query: "ACCESS p FROM p IN PARA".into(),
             },
             Request::Ping,
             Request::TermStats {
@@ -1248,8 +1197,6 @@ mod tests {
                 origin: ResultOrigin::Buffered,
             },
             Response::Value(0.725),
-            Response::Updated { collections: 2 },
-            Response::Indexed { objects: 40 },
             Response::Pong,
             Response::TermStats(sample_globals()),
             Response::IrsKeyed {
@@ -1317,6 +1264,16 @@ mod tests {
             decode_response(&keyed),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn retired_request_tags_name_their_replacement() {
+        for tag in [3u8, 4] {
+            match decode_request(&[tag]) {
+                Err(WireError::Malformed(why)) => assert!(why.contains("EnqueueTask"), "{why}"),
+                other => panic!("tag {tag}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

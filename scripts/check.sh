@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test (perfbench, --locked)"
+# perfbench is a package outside the workspace, so the workspace build
+# never compiles it against changed public APIs. --locked fails if its
+# pinned crate graph (perfbench/Cargo.lock) would have to change.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q -p system-tests --test recovery (crash recovery)"
 cargo test -q -p system-tests --test recovery
 

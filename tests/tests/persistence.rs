@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use coupling::ResultBuffer;
 use irs::persist::{load_collection, save_collection};
 use irs::{CollectionConfig, IrsCollection};
-use oodb::{Database, Value};
+use oodb::{Database, Oid, Value};
 use sgml::{load_document, parse_document};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -213,4 +213,139 @@ fn wal_recovery_after_simulated_crash() {
         );
         assert_eq!(db.store().len(), 1, "uncommitted object not recovered");
     }
+}
+
+/// The WAL file of the durable database in `dir` (whatever its name).
+fn wal_file(dir: &std::path::Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| {
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("wal"))
+        })
+        .expect("a WAL file")
+}
+
+/// `(oid, text)` of every live object, in OID order.
+fn texts(db: &Database) -> Vec<(Oid, String)> {
+    db.store()
+        .iter_ordered()
+        .map(|obj| {
+            let text = obj.attr("text");
+            (obj.oid, text.as_str().unwrap_or_default().to_string())
+        })
+        .collect()
+}
+
+/// Commit one object with `text` in its own transaction.
+fn commit_text(db: &mut Database, text: &str) -> Oid {
+    let class = db.schema().class_id("PARA").unwrap();
+    let mut txn = db.begin();
+    let oid = db.create_object(&mut txn, class).unwrap();
+    db.set_attr(&mut txn, oid, "text", Value::from(text))
+        .unwrap();
+    db.commit(txn).unwrap();
+    oid
+}
+
+/// Regression: a torn WAL tail, one more commit, then a reopen. The
+/// commit after recovery must land after the last complete batch, not
+/// after the torn bytes, or the next open cannot decode the log.
+#[test]
+fn wal_torn_tail_then_commit_reopens() {
+    let dir = tmp_dir("wal-torn-then-commit");
+    let first;
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.define_class("PARA", None).unwrap();
+        first = commit_text(&mut db, "first");
+        commit_text(&mut db, "second");
+    }
+    let wal = wal_file(&dir);
+    let bytes = std::fs::read(&wal).unwrap();
+    std::fs::write(&wal, &bytes[..bytes.len() - 3]).unwrap();
+    let third;
+    {
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(texts(&db), vec![(first, "first".to_string())]);
+        third = commit_text(&mut db, "third");
+    }
+    let db = Database::open(&dir).expect("reopens after a torn tail and a later commit");
+    assert_eq!(
+        texts(&db),
+        vec![(first, "first".to_string()), (third, "third".to_string())]
+    );
+}
+
+/// Regression: a flipped byte inside a committed string value is never
+/// replayed as data. What comes back is the state after some prefix of
+/// the committed batches.
+#[test]
+fn wal_flipped_byte_is_never_replayed() {
+    let dir = tmp_dir("wal-bitflip");
+    let (a, b);
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.define_class("PARA", None).unwrap();
+        a = commit_text(&mut db, "hello world");
+        b = commit_text(&mut db, "second value");
+    }
+    let wal = wal_file(&dir);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let at = bytes
+        .windows(b"hello world".len())
+        .position(|w| w == b"hello world")
+        .expect("value stored verbatim");
+    bytes[at] ^= 0x01; // "hello world" -> "iello world"
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let db = Database::open(&dir).expect("a damaged tail is cut, not fatal");
+    let recovered = texts(&db);
+    let prefixes = [
+        vec![],
+        vec![(a, "hello world".to_string())],
+        vec![
+            (a, "hello world".to_string()),
+            (b, "second value".to_string()),
+        ],
+    ];
+    assert!(
+        prefixes.contains(&recovered),
+        "recovered {recovered:?} is not a prefix of the committed batches"
+    );
+}
+
+/// A WAL written by the pre-CRC format (`wal.odb`, pinned fixture — never
+/// regenerate it) is replayed once, checkpointed and removed.
+#[test]
+fn legacy_wal_fixture_is_migrated() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("oodb-wal-v0")
+        .join("wal.odb");
+    let dir = tmp_dir("wal-legacy");
+    std::fs::copy(&fixture, dir.join("wal.odb")).unwrap();
+    // The fixture commits three transactions: objects 1-3 with texts,
+    // then object 1's year changes and object 3 is deleted.
+    let check = |db: &Database| {
+        assert_eq!(
+            texts(db),
+            vec![
+                (Oid(1), "legacy alpha".to_string()),
+                (Oid(2), "legacy beta".to_string()),
+            ]
+        );
+        assert_eq!(db.get_attr(Oid(1), "year").unwrap(), Value::Int(1996));
+        assert!(db.store().next_oid() > 3, "deleted OIDs stay allocated");
+    };
+    {
+        let db = Database::open(&dir).unwrap();
+        check(&db);
+    }
+    assert!(!dir.join("wal.odb").exists(), "legacy WAL removed");
+    // The migrated state now lives in the snapshot.
+    let db = Database::open(&dir).unwrap();
+    check(&db);
 }

@@ -1,9 +1,11 @@
 //! Integration tests for the durable update-task queue: batching proof
 //! at the serving layer, crash-replay convergence over the journaled
 //! ledger, torn-ledger robustness, event observability through a
-//! server, and back-compatibility of the deprecated synchronous write
-//! shapes.
+//! server, the fsync cost of one acknowledged write, and the answer to
+//! the retired synchronous write kinds.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -13,9 +15,10 @@ use coupling::tasks::{
     SchedulerConfig, TaskEvent, TaskExecutor, TaskFilter, TaskKind, TaskQueue, TaskStatus,
     TaskStatusKind,
 };
-use coupling::SharedSystem;
+use coupling::{PropagationStrategy, SharedSystem};
 use oodb::Oid;
-use serve::{Request, Response, Server, ServerConfig};
+use serve::wire::{self, FrameKind};
+use serve::{Client, NetServer, Request, Response, Server, ServerConfig, Status};
 use system_tests::two_issue_system;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -399,43 +402,90 @@ fn journaled_update_creates_collections_dir() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deprecated synchronous write shapes still work end to end: they
-/// ride the task queue but block until execution and answer with the
-/// legacy response variants.
+/// Durability point of one acknowledged write: an eager `UpdateText`
+/// on a journaled queue syncs the task ledger three times (`Enqueued`,
+/// `Started`, `Finished`) and the propagation journal twice (the
+/// operation's append, then the clear once the IRS applied it).
 #[test]
-#[allow(deprecated)]
-fn deprecated_write_shapes_still_block_and_answer() {
-    let server = Server::start(two_issue_system(), ServerConfig::default().read_workers(2));
-    let shared = server.system().clone();
+fn one_eager_update_syncs_ledger_three_times_and_journal_twice() {
+    let dir = tmp_dir("durability-point");
+    let shared = SharedSystem::new(two_issue_system());
     let para = para_oids(&shared)[0];
-    let resp = server
-        .call(Request::UpdateText {
+    let config = SchedulerConfig::builder()
+        .journal_dir(&dir)
+        .propagation(PropagationStrategy::Eager)
+        .build();
+    let queue = TaskQueue::open(config.ledger_path().as_deref(), 16, 16).expect("journaled queue");
+    let id = queue
+        .enqueue(TaskKind::UpdateText {
             oid: para,
-            text: "quartz crystals resonate".into(),
+            text: "basalt columns cool slowly".into(),
             collections: vec!["collPara".into()],
         })
-        .expect("legacy update");
-    assert_eq!(resp, Response::Updated { collections: 1 });
-    let resp = server
-        .call(Request::IndexObjects {
-            collection: "collPara".into(),
-            spec_query: "ACCESS p FROM p IN PARA".into(),
-        })
-        .expect("legacy index");
-    assert!(matches!(resp, Response::Indexed { objects } if objects == 4));
-    // Blocking semantics: the update is visible immediately after the
-    // call returns, with no explicit wait.
-    let resp = server
-        .call(Request::IrsQuery {
-            collection: "collPara".into(),
-            query: "quartz".into(),
-        })
-        .expect("query");
-    let Response::IrsResult { hits, .. } = resp else {
-        panic!("wrong response variant");
+        .expect("enqueue");
+    let mut executor = TaskExecutor::new(shared, queue.clone(), config);
+    executor.drain();
+    assert_eq!(
+        queue.task_status(id).expect("known task").status,
+        TaskStatus::Succeeded
+    );
+    assert_eq!(queue.ledger_syncs(), 3, "Enqueued, Started, Finished");
+    let journal = executor
+        .propagator("collPara")
+        .and_then(|p| p.journal())
+        .expect("journaled propagator");
+    assert_eq!(journal.syncs(), 2, "append, then clear");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The retired synchronous write kinds (request tags 3 and 4) are
+/// answered over the wire with a 400 that points at `EnqueueTask`, and
+/// the server keeps serving afterwards.
+#[test]
+fn retired_write_kinds_answer_bad_request() {
+    let net = NetServer::bind(
+        Server::start(two_issue_system(), ServerConfig::default().read_workers(2)),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let addr = net.local_addr();
+    let put_str = |buf: &mut Vec<u8>, s: &str| {
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
     };
-    assert_eq!(hits.len(), 1, "legacy write visible synchronously");
-    let snapshot = server.shutdown();
-    assert_eq!(snapshot.tasks_failed, 0);
-    assert!(snapshot.tasks_succeeded >= 2, "both writes became tasks");
+    // The payloads an old client sends: UpdateText (oid, text,
+    // collection list) and IndexObjects (collection, spec query).
+    let mut update_text = vec![3u8];
+    update_text.extend_from_slice(&1u64.to_le_bytes());
+    put_str(&mut update_text, "quartz crystals resonate");
+    update_text.extend_from_slice(&1u32.to_le_bytes());
+    put_str(&mut update_text, "collPara");
+    let mut index_objects = vec![4u8];
+    put_str(&mut index_objects, "collPara");
+    put_str(&mut index_objects, "ACCESS p FROM p IN PARA");
+
+    for (name, payload) in [("UpdateText", update_text), ("IndexObjects", index_objects)] {
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, FrameKind::Request, &payload).unwrap();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&frame).unwrap();
+        let reply = wire::read_frame(&mut stream)
+            .expect("readable reply")
+            .expect("error frame, not a close");
+        assert_eq!(reply.kind, FrameKind::Error, "{name}");
+        let fault = wire::decode_fault(&reply.payload).expect("fault payload");
+        assert_eq!(fault.status, Status::BadRequest, "{name}");
+        assert!(fault.message.contains(name), "{name}: {}", fault.message);
+        assert!(
+            fault.message.contains("EnqueueTask"),
+            "{name}: {}",
+            fault.message
+        );
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
+    net.shutdown();
 }
