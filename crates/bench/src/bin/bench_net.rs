@@ -21,62 +21,18 @@
 //! throughput — the gate catches protocol-level stalls like a lost
 //! flush or per-call reconnects, not micro-variance).
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
 
-use coupling::{CollectionSetup, DocumentSystem};
-use irs::FaultPlan;
+use coupling_bench::harness::{closed_loop, Gates, Json, LoopRun, Mode};
+use coupling_bench::workload::{gate_system, query_for, IRS_LATENCY};
 use serve::{Client, NetServer, Request, Response, Server, ServerConfig};
-use sgml::gen::topic_term;
-use sgml::{CorpusConfig, CorpusGenerator};
 
-const TOPICS: usize = 6;
 const READ_WORKERS: usize = 8;
-const IRS_LATENCY: Duration = Duration::from_millis(2);
 
-struct Run {
-    transport: &'static str,
-    clients: usize,
-    ops: usize,
-    wall_us: u128,
-    throughput_rps: f64,
-    failed: u64,
-    bad_responses: u64,
-}
-
-/// Same corpus construction as `bench_serve`: a one-slot result buffer
-/// keeps repeated queries travelling to the (slow) IRS.
-fn build_system(docs: usize) -> DocumentSystem {
-    let mut generator = CorpusGenerator::new(CorpusConfig {
-        docs,
-        topics: TOPICS,
-        vocabulary: 400,
-        ..CorpusConfig::default()
-    });
-    let mut sys = DocumentSystem::new();
-    for doc in generator.generate_corpus() {
-        sys.load_generated(&doc).expect("corpus loads");
-    }
-    sys.create_collection(
-        "coll",
-        CollectionSetup::builder().buffer_capacity(1).build(),
-    )
-    .expect("fresh collection");
-    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
-        .expect("paragraphs index");
-    sys.collection_mut("coll")
-        .expect("collection exists")
-        .inject_faults(Some(Arc::new(FaultPlan::new(1).with_latency(IRS_LATENCY))));
-    sys
-}
-
-fn query_for(c: usize, i: usize) -> String {
-    let a = (c + i) % TOPICS;
-    let b = (c + i + 1 + i % (TOPICS - 1)) % TOPICS;
-    if a == b {
-        topic_term(a)
-    } else {
-        format!("#and({} {})", topic_term(a), topic_term(b))
+fn request(c: usize, i: usize) -> Request {
+    Request::IrsQuery {
+        collection: "coll".into(),
+        query: query_for(c, i),
     }
 }
 
@@ -84,187 +40,85 @@ fn check_response(resp: &Response) -> bool {
     matches!(resp, Response::IrsResult { hits, .. } if !hits.is_empty())
 }
 
-fn server_config() -> ServerConfig {
-    ServerConfig::default()
-        .read_workers(READ_WORKERS)
-        .queue_capacity(256)
+fn server(docs: usize) -> Server {
+    Server::start(
+        gate_system(docs, Some(IRS_LATENCY)),
+        ServerConfig::default()
+            .read_workers(READ_WORKERS)
+            .queue_capacity(256),
+    )
 }
 
 /// Closed loop, in-process transport: `clients` threads call straight
 /// into the server.
-fn run_in_process(docs: usize, clients: usize, ops: usize) -> Run {
-    let server = Server::start(build_system(docs), server_config());
-    let per_client = ops / clients;
-    let t0 = Instant::now();
-    let (failed, bad): (u64, u64) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let server = &server;
-                scope.spawn(move || {
-                    let (mut failed, mut bad) = (0u64, 0u64);
-                    for i in 0..per_client {
-                        match server.call(Request::IrsQuery {
-                            collection: "coll".into(),
-                            query: query_for(c, i),
-                        }) {
-                            Ok(resp) if check_response(&resp) => {}
-                            Ok(_) => bad += 1,
-                            Err(_) => failed += 1,
-                        }
-                    }
-                    (failed, bad)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .fold((0, 0), |(f, b), (df, db)| (f + df, b + db))
+fn run_in_process(docs: usize, clients: usize, ops: usize) -> LoopRun {
+    let server = server(docs);
+    let run = closed_loop(clients, ops, |c| {
+        let server = &server;
+        move |i| server.call(request(c, i)).map(|r| check_response(&r))
     });
-    let wall_us = t0.elapsed().as_micros();
     server.shutdown();
-    Run {
-        transport: "in_process",
-        clients,
-        ops: per_client * clients,
-        wall_us,
-        throughput_rps: (per_client * clients) as f64 / (wall_us as f64 / 1e6),
-        failed,
-        bad_responses: bad,
-    }
+    run
 }
 
 /// Closed loop, localhost TCP transport: `clients` threads each own one
 /// wire connection to a `NetServer` on an ephemeral loopback port.
-fn run_over_wire(docs: usize, clients: usize, ops: usize) -> Run {
-    let net = NetServer::bind(
-        Server::start(build_system(docs), server_config()),
-        "127.0.0.1:0",
-    )
-    .expect("bind loopback");
+fn run_over_wire(docs: usize, clients: usize, ops: usize) -> LoopRun {
+    let net = NetServer::bind(server(docs), "127.0.0.1:0").expect("bind loopback");
     let addr = net.local_addr();
-    let per_client = ops / clients;
-    let t0 = Instant::now();
-    let (failed, bad): (u64, u64) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect loopback");
-                    let (mut failed, mut bad) = (0u64, 0u64);
-                    for i in 0..per_client {
-                        match client.call(&Request::IrsQuery {
-                            collection: "coll".into(),
-                            query: query_for(c, i),
-                        }) {
-                            Ok(resp) if check_response(&resp) => {}
-                            Ok(_) => bad += 1,
-                            Err(_) => failed += 1,
-                        }
-                    }
-                    (failed, bad)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .fold((0, 0), |(f, b), (df, db)| (f + df, b + db))
+    let run = closed_loop(clients, ops, |c| {
+        let mut client = Client::connect(addr).expect("connect loopback");
+        move |i| client.call(&request(c, i)).map(|r| check_response(&r))
     });
-    let wall_us = t0.elapsed().as_micros();
     net.shutdown();
-    Run {
-        transport: "tcp_loopback",
-        clients,
-        ops: per_client * clients,
-        wall_us,
-        throughput_rps: (per_client * clients) as f64 / (wall_us as f64 / 1e6),
-        failed,
-        bad_responses: bad,
-    }
+    run
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (docs, ops, clients) = if smoke { (8, 24, 4) } else { (20, 96, 8) };
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
+    let (docs, ops, clients) = mode.pick((8, 24, 4), (20, 96, 8));
 
     println!(
         "bench_net: {} ops, {} clients, {} read workers, {:?} injected IRS latency",
         ops, clients, READ_WORKERS, IRS_LATENCY
     );
-    println!(
-        "{:>14} {:>8} {:>6} {:>10} {:>12} {:>8} {:>8}",
-        "transport", "clients", "ops", "wall(us)", "thru(req/s)", "failed", "bad"
-    );
-    let runs: Vec<Run> = vec![
-        run_in_process(docs, clients, ops),
-        run_over_wire(docs, clients, ops),
+    let runs = [
+        ("in_process", run_in_process(docs, clients, ops)),
+        ("tcp_loopback", run_over_wire(docs, clients, ops)),
     ];
-    for run in &runs {
-        println!(
-            "{:>14} {:>8} {:>6} {:>10} {:>12.1} {:>8} {:>8}",
-            run.transport,
-            run.clients,
-            run.ops,
-            run.wall_us,
-            run.throughput_rps,
-            run.failed,
-            run.bad_responses
-        );
-    }
+    let wire_tax = runs[1].1.throughput_rps / runs[0].1.throughput_rps;
 
-    let wire_tax = runs[1].throughput_rps / runs[0].throughput_rps;
-    println!("wire throughput vs in-process: {:.2}x", wire_tax);
+    let rows = runs.iter().map(|(transport, run)| {
+        Json::object([
+            ("transport", (*transport).into()),
+            ("clients", run.clients.into()),
+            ("ops", run.ops.into()),
+            ("wall_us", run.wall_us.into()),
+            ("throughput_rps", Json::Fixed(run.throughput_rps, 1)),
+            ("failed", run.failed.into()),
+            ("bad_responses", run.bad.into()),
+        ])
+    });
+    mode.write(
+        "net",
+        &Json::object([
+            ("bench", "net_closed_loop".into()),
+            ("mode", mode.name().into()),
+            ("read_workers", READ_WORKERS.into()),
+            ("irs_latency_us", IRS_LATENCY.as_micros().into()),
+            ("runs", Json::Array(rows.collect())),
+            ("wire_vs_in_process", Json::Fixed(wire_tax, 3)),
+        ]),
+    );
 
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"net_closed_loop\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"read_workers\": {READ_WORKERS},\n"));
-    out.push_str(&format!(
-        "  \"irs_latency_us\": {},\n",
-        IRS_LATENCY.as_micros()
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"clients\": {}, \"ops\": {}, \"wall_us\": {}, \
-             \"throughput_rps\": {:.1}, \"failed\": {}, \"bad_responses\": {}}}{}\n",
-            run.transport,
-            run.clients,
-            run.ops,
-            run.wall_us,
-            run.throughput_rps,
-            run.failed,
-            run.bad_responses,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"wire_vs_in_process\": {wire_tax:.3}\n"));
-    out.push_str("}\n");
-
-    let path = std::path::Path::new("BENCH_net.json");
-    std::fs::write(path, &out).expect("write BENCH_net.json");
-    println!("wrote {}", path.display());
-
-    let failed: u64 = runs.iter().map(|r| r.failed).sum();
-    let bad: u64 = runs.iter().map(|r| r.bad_responses).sum();
-    if failed > 0 {
-        eprintln!("REGRESSION: {failed} requests failed");
-        std::process::exit(1);
-    }
-    if bad > 0 {
-        eprintln!("REGRESSION: {bad} responses had the wrong shape");
-        std::process::exit(1);
-    }
-    if wire_tax < 0.10 {
-        eprintln!(
-            "REGRESSION: wire throughput {wire_tax:.2}x of in-process is below the 0.10x floor"
-        );
-        std::process::exit(1);
-    }
+    let mut gates = Gates::new();
+    let failed: u64 = runs.iter().map(|(_, r)| r.failed).sum();
+    let bad: u64 = runs.iter().map(|(_, r)| r.bad).sum();
+    gates.check(failed > 0, format!("{failed} requests failed"));
+    gates.check(bad > 0, format!("{bad} responses had the wrong shape"));
+    gates.check(
+        wire_tax < 0.10,
+        format!("wire throughput {wire_tax:.2}x of in-process is below the 0.10x floor"),
+    );
+    ExitCode::from(gates.code())
 }

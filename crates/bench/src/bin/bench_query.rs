@@ -24,74 +24,52 @@
 //!
 //! CI greps for the `REGRESSION` marker.
 
+use std::process::ExitCode;
+
 use coupling_bench::exp::e14_topk;
+use coupling_bench::harness::{Gates, Json, Mode};
 use coupling_bench::workload::WorkloadConfig;
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut config = if smoke {
-        WorkloadConfig::small()
-    } else {
-        WorkloadConfig::standard()
-    };
-    if smoke {
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
+    let mut config = mode.pick(WorkloadConfig::small(), WorkloadConfig::standard());
+    if mode == Mode::Smoke {
         config.corpus.docs = 10;
     }
 
-    let report = e14_topk::run(&config, !smoke);
+    let report = e14_topk::run(&config, mode == Mode::Full);
     println!("{report}");
 
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"bench\": \"{}\",\n",
-        json_escape("query_topk_vs_exhaustive")
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"query_set\": {},\n", report.query_set));
-    out.push_str(&format!(
-        "  \"rankings_match\": {},\n",
-        report.rankings_match
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, p) in report.sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"docs\": {}, \"k\": {}, \"blockmax_us\": {}, \"collbound_us\": {}, \"exhaustive_us\": {}, \"speedup\": {:.3}, \"blockmax_vs_collbound\": {:.3}}}{}\n",
-            p.docs,
-            p.k,
-            p.blockmax_us,
-            p.collbound_us,
-            p.exhaustive_us,
-            p.speedup,
-            p.blockmax_vs_collbound,
-            if i + 1 < report.sweep.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    // The full-run artifact (with the 10^5-doc tier) is committed;
-    // smoke runs write next to it so CI gates don't clobber it.
-    let path = std::path::Path::new(if smoke {
-        "BENCH_query_smoke.json"
-    } else {
-        "BENCH_query.json"
+    let sweep = report.sweep.iter().map(|p| {
+        Json::object([
+            ("docs", p.docs.into()),
+            ("k", p.k.into()),
+            ("blockmax_us", p.blockmax_us.into()),
+            ("collbound_us", p.collbound_us.into()),
+            ("exhaustive_us", p.exhaustive_us.into()),
+            ("speedup", Json::Fixed(p.speedup, 3)),
+            (
+                "blockmax_vs_collbound",
+                Json::Fixed(p.blockmax_vs_collbound, 3),
+            ),
+        ])
     });
-    std::fs::write(path, &out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+    mode.write(
+        "query",
+        &Json::object([
+            ("bench", "query_topk_vs_exhaustive".into()),
+            ("mode", mode.name().into()),
+            ("query_set", report.query_set.into()),
+            ("rankings_match", report.rankings_match.into()),
+            ("sweep", Json::Array(sweep.collect())),
+        ]),
+    );
 
-    let mut failed = false;
-    if !report.rankings_match {
-        eprintln!("REGRESSION: pruned top-k ranking differs from exhaustive ranking");
-        failed = true;
-    }
+    let mut gates = Gates::new();
+    gates.check(
+        !report.rankings_match,
+        "pruned top-k ranking differs from exhaustive ranking",
+    );
     // Block-max must not lose to the collection-bound engine it extends.
     // Timing noise dominates sub-millisecond cells, so small tiers get a
     // flat-plus-relative allowance; the 10^5-document tier — where block
@@ -103,15 +81,13 @@ fn main() {
         } else {
             (p.collbound_us / 4).max(300)
         };
-        if p.blockmax_us > p.collbound_us + slack {
-            eprintln!(
-                "REGRESSION: block-max slower than collection-bound at docs={} k={}: {}us vs {}us (slack {}us)",
+        gates.check(
+            p.blockmax_us > p.collbound_us + slack,
+            format!(
+                "block-max slower than collection-bound at docs={} k={}: {}us vs {}us (slack {}us)",
                 p.docs, p.k, p.blockmax_us, p.collbound_us, slack
-            );
-            failed = true;
-        }
+            ),
+        );
     }
-    if failed {
-        std::process::exit(1);
-    }
+    ExitCode::from(gates.code())
 }

@@ -23,111 +23,56 @@
 //! exceeds the deadline bound, or if the hedge never fired while its
 //! preferred replica was black-holed.
 
-use std::sync::Arc;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use coupling::remote::{RemoteConfig, RemoteIrs};
-use coupling::{CollectionSetup, DocumentSystem};
-use irs::FaultPlan;
+use coupling_bench::harness::{Gates, Json, Mode, Samples};
+use coupling_bench::workload::{gate_system, query_for, IRS_LATENCY};
 use serve::{ChaosMode, ChaosPlan, ChaosProxy, ClientConfig, ReplicaServer, WireTransport};
-use sgml::gen::topic_term;
-use sgml::{CorpusConfig, CorpusGenerator};
 
-const TOPICS: usize = 6;
-const IRS_LATENCY: Duration = Duration::from_millis(2);
 const HEDGE_DELAY: Duration = Duration::from_millis(20);
 const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(400);
 /// Scheduling slack on top of the engine's hard deadline before the
 /// gate calls the tail a regression.
 const GATE_MARGIN: Duration = Duration::from_millis(200);
 
-/// Same corpus construction as `bench_net`: a one-slot result buffer
-/// keeps repeated queries travelling to the (slow) IRS.
-fn build_system(docs: usize) -> DocumentSystem {
-    let mut generator = CorpusGenerator::new(CorpusConfig {
-        docs,
-        topics: TOPICS,
-        vocabulary: 400,
-        ..CorpusConfig::default()
-    });
-    let mut sys = DocumentSystem::new();
-    for doc in generator.generate_corpus() {
-        sys.load_generated(&doc).expect("corpus loads");
-    }
-    sys.create_collection(
-        "coll",
-        CollectionSetup::builder().buffer_capacity(1).build(),
-    )
-    .expect("fresh collection");
-    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
-        .expect("paragraphs index");
-    sys.collection_mut("coll")
-        .expect("collection exists")
-        .inject_faults(Some(Arc::new(FaultPlan::new(1).with_latency(IRS_LATENCY))));
-    sys
-}
-
-fn query_for(i: usize) -> String {
-    let a = i % TOPICS;
-    let b = (i + 1 + i % (TOPICS - 1)) % TOPICS;
-    if a == b {
-        topic_term(a)
-    } else {
-        format!("#and({} {})", topic_term(a), topic_term(b))
-    }
-}
-
 struct Phase {
     name: &'static str,
     ops: usize,
-    latencies_us: Vec<u64>,
+    latencies: Samples,
     failed: u64,
 }
 
-impl Phase {
-    fn quantile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
-    }
-
-    fn max_us(&self) -> u64 {
-        self.latencies_us.iter().copied().max().unwrap_or(0)
-    }
-}
-
 fn run_phase(name: &'static str, remote: &RemoteIrs<WireTransport>, ops: usize) -> Phase {
-    let mut latencies_us = Vec::with_capacity(ops);
-    let mut failed = 0u64;
+    let mut phase = Phase {
+        name,
+        ops,
+        latencies: Samples::new(),
+        failed: 0,
+    };
     for i in 0..ops {
         let t0 = Instant::now();
-        match remote.search_top_k("coll", &query_for(i)) {
-            Ok(_) => latencies_us.push(t0.elapsed().as_micros() as u64),
+        match remote.search_top_k("coll", &query_for(0, i)) {
+            Ok(_) => phase.latencies.record_since(t0),
             Err(e) => {
                 eprintln!("{name}: query {i} failed: {e}");
-                failed += 1;
+                phase.failed += 1;
             }
         }
     }
-    Phase {
-        name,
-        ops,
-        latencies_us,
-        failed,
-    }
+    phase
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (docs, ops) = if smoke { (8, 40) } else { (20, 200) };
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
+    let (docs, ops) = mode.pick((8, 40), (20, 200));
 
     let servers: Vec<ReplicaServer> = (0..2)
-        .map(|_| ReplicaServer::serve(build_system(docs), "127.0.0.1:0").expect("bind replica"))
+        .map(|_| {
+            ReplicaServer::serve(gate_system(docs, Some(IRS_LATENCY)), "127.0.0.1:0")
+                .expect("bind replica")
+        })
         .collect();
     let proxies: Vec<ChaosProxy> = servers
         .iter()
@@ -187,86 +132,41 @@ fn main() {
     let stats = remote.stats();
     let hedges_during_degraded = stats.hedges_fired - hedges_before;
 
-    println!(
-        "{:>10} {:>6} {:>10} {:>10} {:>10} {:>8}",
-        "phase", "ops", "p50(us)", "p99(us)", "max(us)", "failed"
-    );
-    for phase in [&healthy, &degraded] {
-        println!(
-            "{:>10} {:>6} {:>10} {:>10} {:>10} {:>8}",
-            phase.name,
-            phase.ops,
-            phase.quantile_us(0.5),
-            phase.quantile_us(0.99),
-            phase.max_us(),
-            phase.failed
-        );
-    }
-    println!(
-        "fan-out: {} hedges ({} during degraded phase), {} hedge wins, {} failovers, \
-         {} breaker skips, {} stale serves, {} exhausted",
-        stats.hedges_fired,
-        hedges_during_degraded,
-        stats.hedge_wins,
-        stats.failovers,
-        stats.breaker_skips,
-        stats.stale_serves,
-        stats.exhausted
-    );
-
     let bound = HEDGE_DELAY + ATTEMPT_TIMEOUT + GATE_MARGIN;
     let bound_us = bound.as_micros() as u64;
 
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"replica_hedged_reads\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!(
-        "  \"hedge_delay_us\": {},\n",
-        HEDGE_DELAY.as_micros()
-    ));
-    out.push_str(&format!(
-        "  \"attempt_timeout_us\": {},\n",
-        ATTEMPT_TIMEOUT.as_micros()
-    ));
-    out.push_str(&format!("  \"tail_bound_us\": {bound_us},\n"));
-    out.push_str("  \"phases\": [\n");
-    let phases = [&healthy, &degraded];
-    for (i, phase) in phases.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"ops\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {}, \"failed\": {}}}{}\n",
-            phase.name,
-            phase.ops,
-            phase.quantile_us(0.5),
-            phase.quantile_us(0.99),
-            phase.max_us(),
-            phase.failed,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"fanout\": {{\"requests\": {}, \"hedges_fired\": {}, \"hedges_degraded\": {}, \
-         \"hedge_wins\": {}, \"failovers\": {}, \"breaker_skips\": {}, \"stale_serves\": {}, \
-         \"exhausted\": {}}}\n",
-        stats.requests,
-        stats.hedges_fired,
-        hedges_during_degraded,
-        stats.hedge_wins,
-        stats.failovers,
-        stats.breaker_skips,
-        stats.stale_serves,
-        stats.exhausted
-    ));
-    out.push_str("}\n");
-
-    let path = std::path::Path::new("BENCH_replica.json");
-    std::fs::write(path, &out).expect("write BENCH_replica.json");
-    println!("wrote {}", path.display());
+    let phases = [&healthy, &degraded].map(|phase| {
+        Json::object([
+            ("phase", phase.name.into()),
+            ("ops", phase.ops.into()),
+            ("p50_us", phase.latencies.quantile(0.5).into()),
+            ("p99_us", phase.latencies.quantile(0.99).into()),
+            ("max_us", phase.latencies.max().into()),
+            ("failed", phase.failed.into()),
+        ])
+    });
+    let fanout = Json::object([
+        ("requests", stats.requests.into()),
+        ("hedges_fired", stats.hedges_fired.into()),
+        ("hedges_degraded", hedges_during_degraded.into()),
+        ("hedge_wins", stats.hedge_wins.into()),
+        ("failovers", stats.failovers.into()),
+        ("breaker_skips", stats.breaker_skips.into()),
+        ("stale_serves", stats.stale_serves.into()),
+        ("exhausted", stats.exhausted.into()),
+    ]);
+    mode.write(
+        "replica",
+        &Json::object([
+            ("bench", "replica_hedged_reads".into()),
+            ("mode", mode.name().into()),
+            ("hedge_delay_us", HEDGE_DELAY.as_micros().into()),
+            ("attempt_timeout_us", ATTEMPT_TIMEOUT.as_micros().into()),
+            ("tail_bound_us", bound_us.into()),
+            ("phases", Json::Array(phases.into())),
+            ("fanout", fanout),
+        ]),
+    );
 
     drop(remote);
     for proxy in proxies {
@@ -276,20 +176,17 @@ fn main() {
         server.shutdown();
     }
 
+    let mut gates = Gates::new();
     let failed = healthy.failed + degraded.failed;
-    if failed > 0 {
-        eprintln!("REGRESSION: {failed} hedged reads failed");
-        std::process::exit(1);
-    }
-    if degraded.quantile_us(0.99) > bound_us {
-        eprintln!(
-            "REGRESSION: degraded p99 {}us exceeds the {bound_us}us deadline bound",
-            degraded.quantile_us(0.99)
-        );
-        std::process::exit(1);
-    }
-    if hedges_during_degraded == 0 {
-        eprintln!("REGRESSION: preferred replica was black-holed but no hedge fired");
-        std::process::exit(1);
-    }
+    gates.check(failed > 0, format!("{failed} hedged reads failed"));
+    let degraded_p99 = degraded.latencies.quantile(0.99);
+    gates.check(
+        degraded_p99 > bound_us,
+        format!("degraded p99 {degraded_p99}us exceeds the {bound_us}us deadline bound"),
+    );
+    gates.check(
+        hedges_during_degraded == 0,
+        "preferred replica was black-holed but no hedge fired",
+    );
+    ExitCode::from(gates.code())
 }

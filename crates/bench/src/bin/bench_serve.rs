@@ -16,181 +16,79 @@
 //! `REGRESSION` if 8 clients fail to beat 1 client by more than 2x
 //! throughput, or if any request fails.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
 
-use coupling::{CollectionSetup, DocumentSystem};
-use irs::FaultPlan;
+use coupling_bench::harness::{closed_loop, Gates, Json, LoopRun, Mode};
+use coupling_bench::workload::{gate_system, query_for, IRS_LATENCY};
 use serve::{MetricsSnapshot, Request, Server, ServerConfig};
-use sgml::gen::topic_term;
-use sgml::{CorpusConfig, CorpusGenerator};
 
-const TOPICS: usize = 6;
 const READ_WORKERS: usize = 8;
-const IRS_LATENCY: Duration = Duration::from_millis(2);
 
-/// One benchmark run's results.
-struct Run {
-    clients: usize,
-    ops: usize,
-    wall_us: u128,
-    throughput_rps: f64,
-    snapshot: MetricsSnapshot,
-}
-
-/// A fresh corpus system with a paragraph collection whose IRS carries
-/// the injected latency. The result buffer is reduced to one slot so
-/// repeated queries genuinely travel to the (slow) IRS.
-fn build_system(docs: usize) -> DocumentSystem {
-    let mut generator = CorpusGenerator::new(CorpusConfig {
-        docs,
-        topics: TOPICS,
-        vocabulary: 400,
-        ..CorpusConfig::default()
-    });
-    let mut sys = DocumentSystem::new();
-    for doc in generator.generate_corpus() {
-        sys.load_generated(&doc).expect("corpus loads");
-    }
-    sys.create_collection(
-        "coll",
-        CollectionSetup::builder().buffer_capacity(1).build(),
-    )
-    .expect("fresh collection");
-    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
-        .expect("paragraphs index");
-    sys.collection_mut("coll")
-        .expect("collection exists")
-        .inject_faults(Some(Arc::new(FaultPlan::new(1).with_latency(IRS_LATENCY))));
-    sys
-}
-
-/// Distinct topic-pair query for client `c`, request `i`: keeps the
-/// one-slot buffer cold and spreads work across the index.
-fn query_for(c: usize, i: usize) -> String {
-    let a = (c + i) % TOPICS;
-    let b = (c + i + 1 + i % (TOPICS - 1)) % TOPICS;
-    if a == b {
-        topic_term(a)
-    } else {
-        format!("#and({} {})", topic_term(a), topic_term(b))
-    }
-}
-
-/// Closed loop: `clients` threads each issue `ops / clients` requests
-/// back-to-back and wait for every response.
-fn run_workload(docs: usize, clients: usize, ops: usize) -> Run {
+/// Closed loop against an in-process server whose IRS carries the
+/// injected latency; the snapshot is the server's own accounting.
+fn run_workload(docs: usize, clients: usize, ops: usize) -> (LoopRun, MetricsSnapshot) {
     let server = Server::start(
-        build_system(docs),
+        gate_system(docs, Some(IRS_LATENCY)),
         ServerConfig::default()
             .read_workers(READ_WORKERS)
             .queue_capacity(256),
     );
-    let per_client = ops / clients;
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let server = &server;
-            scope.spawn(move || {
-                for i in 0..per_client {
-                    server
-                        .call(Request::IrsQuery {
-                            collection: "coll".into(),
-                            query: query_for(c, i),
-                        })
-                        .expect("query succeeds");
-                }
-            });
+    let run = closed_loop(clients, ops, |c| {
+        let server = &server;
+        move |i| {
+            server
+                .call(Request::IrsQuery {
+                    collection: "coll".into(),
+                    query: query_for(c, i),
+                })
+                .expect("query succeeds");
+            Ok::<_, ()>(true)
         }
     });
-    let wall_us = t0.elapsed().as_micros();
-    let snapshot = server.shutdown();
-    Run {
-        clients,
-        ops: per_client * clients,
-        wall_us,
-        throughput_rps: (per_client * clients) as f64 / (wall_us as f64 / 1e6),
-        snapshot,
-    }
+    (run, server.shutdown())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (docs, ops) = if smoke { (8, 24) } else { (20, 96) };
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
+    let (docs, ops) = mode.pick((8, 24), (20, 96));
 
     println!(
         "bench_serve: {} ops, {} read workers, {:?} injected IRS latency",
         ops, READ_WORKERS, IRS_LATENCY
     );
-    println!(
-        "{:>8} {:>6} {:>10} {:>12} {:>8} {:>8} {:>8}",
-        "clients", "ops", "wall(us)", "thru(req/s)", "p50(us)", "p99(us)", "failed"
+    let runs = [1, 8].map(|clients| run_workload(docs, clients, ops));
+    let speedup = runs[1].0.throughput_rps / runs[0].0.throughput_rps;
+
+    let rows = runs.iter().map(|(run, snap)| {
+        Json::object([
+            ("clients", run.clients.into()),
+            ("ops", run.ops.into()),
+            ("wall_us", run.wall_us.into()),
+            ("throughput_rps", Json::Fixed(run.throughput_rps, 1)),
+            ("p50_us", snap.p50_us.into()),
+            ("p99_us", snap.p99_us.into()),
+            ("completed", snap.completed.into()),
+            ("failed", snap.failed.into()),
+        ])
+    });
+    mode.write(
+        "serve",
+        &Json::object([
+            ("bench", "serve_closed_loop".into()),
+            ("mode", mode.name().into()),
+            ("read_workers", READ_WORKERS.into()),
+            ("irs_latency_us", IRS_LATENCY.as_micros().into()),
+            ("runs", Json::Array(rows.collect())),
+            ("speedup", Json::Fixed(speedup, 3)),
+        ]),
     );
-    let runs: Vec<Run> = [1usize, 8]
-        .into_iter()
-        .map(|clients| {
-            let run = run_workload(docs, clients, ops);
-            println!(
-                "{:>8} {:>6} {:>10} {:>12.1} {:>8} {:>8} {:>8}",
-                run.clients,
-                run.ops,
-                run.wall_us,
-                run.throughput_rps,
-                run.snapshot.p50_us,
-                run.snapshot.p99_us,
-                run.snapshot.failed
-            );
-            run
-        })
-        .collect();
 
-    let speedup = runs[1].throughput_rps / runs[0].throughput_rps;
-    println!("speedup (8 clients vs 1): {speedup:.2}x");
-
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve_closed_loop\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"read_workers\": {READ_WORKERS},\n"));
-    out.push_str(&format!(
-        "  \"irs_latency_us\": {},\n",
-        IRS_LATENCY.as_micros()
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"ops\": {}, \"wall_us\": {}, \"throughput_rps\": {:.1}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"completed\": {}, \"failed\": {}}}{}\n",
-            run.clients,
-            run.ops,
-            run.wall_us,
-            run.throughput_rps,
-            run.snapshot.p50_us,
-            run.snapshot.p99_us,
-            run.snapshot.completed,
-            run.snapshot.failed,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"speedup\": {speedup:.3}\n"));
-    out.push_str("}\n");
-
-    let path = std::path::Path::new("BENCH_serve.json");
-    std::fs::write(path, &out).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
-
-    let failed: u64 = runs.iter().map(|r| r.snapshot.failed).sum();
-    if failed > 0 {
-        eprintln!("REGRESSION: {failed} requests failed");
-        std::process::exit(1);
-    }
-    if speedup <= 2.0 {
-        eprintln!("REGRESSION: 8-client speedup {speedup:.2}x is not above 2x");
-        std::process::exit(1);
-    }
+    let mut gates = Gates::new();
+    let failed: u64 = runs.iter().map(|(_, snap)| snap.failed).sum();
+    gates.check(failed > 0, format!("{failed} requests failed"));
+    gates.check(
+        speedup <= 2.0,
+        format!("8-client speedup {speedup:.2}x is not above 2x"),
+    );
+    ExitCode::from(gates.code())
 }

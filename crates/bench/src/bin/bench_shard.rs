@@ -23,48 +23,26 @@
 //! baseline, if any degraded-phase query fails, or if no stale serve
 //! happened while a partition was down.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use coupling::{CollectionSetup, DocumentSystem, PartitionConfig, PartitionedIrs, ResultOrigin};
+use coupling::{DocumentSystem, PartitionConfig, PartitionedIrs, ResultOrigin};
+use coupling_bench::harness::{Gates, Json, Mode, Samples};
+use coupling_bench::workload::{gate_system, query_for};
 use oodb::Oid;
 use serve::{ReplicaServer, WireTransport};
-use sgml::gen::topic_term;
-use sgml::{CorpusConfig, CorpusGenerator};
 
-const TOPICS: usize = 6;
 const PARTITIONS: usize = 2;
 /// No top-k cut: small corpus, and an uncut merge exercises the whole
 /// gather path while keeping the single-node baseline trivially exact.
 const K: usize = 10_000;
 
-/// Same corpus construction as `bench_replica`, minus fault injection —
-/// this gate measures the scatter/gather overhead itself.
-fn build_system(docs: usize) -> DocumentSystem {
-    let mut generator = CorpusGenerator::new(CorpusConfig {
-        docs,
-        topics: TOPICS,
-        vocabulary: 400,
-        ..CorpusConfig::default()
-    });
-    let mut sys = DocumentSystem::new();
-    for doc in generator.generate_corpus() {
-        sys.load_generated(&doc).expect("corpus loads");
-    }
-    sys.create_collection(
-        "coll",
-        CollectionSetup::builder().buffer_capacity(1).build(),
-    )
-    .expect("fresh collection");
-    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
-        .expect("paragraphs index");
-    sys
-}
-
 /// Partition `p` of `parts`: the full corpus loaded (identical OIDs on
 /// every node), then carved down to the round-robin slice by deleting
-/// the out-of-slice paragraphs from the IRS collection.
+/// the out-of-slice paragraphs from the IRS collection. No latency is
+/// injected: this gate measures the scatter/gather overhead itself.
 fn build_partition(docs: usize, p: usize, parts: usize) -> DocumentSystem {
-    let sys = build_system(docs);
+    let sys = gate_system(docs, None);
     let paras: Vec<Oid> = sys
         .query("ACCESS p FROM p IN PARA")
         .expect("enumerate paragraphs")
@@ -79,16 +57,6 @@ fn build_partition(docs: usize, p: usize, parts: usize) -> DocumentSystem {
     }
     drop(coll);
     sys
-}
-
-fn query_for(i: usize) -> String {
-    let a = i % TOPICS;
-    let b = (i + 1 + i % (TOPICS - 1)) % TOPICS;
-    if a == b {
-        topic_term(a)
-    } else {
-        format!("#and({} {})", topic_term(a), topic_term(b))
-    }
 }
 
 /// Single-node answer for `query`, in the router's presentation order.
@@ -106,26 +74,10 @@ fn baseline_for(sys: &DocumentSystem, query: &str) -> Vec<(Oid, f64)> {
 struct Phase {
     name: &'static str,
     ops: usize,
-    latencies_us: Vec<u64>,
+    latencies: Samples,
     failed: u64,
     mismatched: u64,
     stale: u64,
-}
-
-impl Phase {
-    fn quantile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
-    }
-
-    fn max_us(&self) -> u64 {
-        self.latencies_us.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Run `ops` queries; when `baseline` is given, compare every merged
@@ -139,17 +91,17 @@ fn run_phase(
     let mut phase = Phase {
         name,
         ops,
-        latencies_us: Vec::with_capacity(ops),
+        latencies: Samples::new(),
         failed: 0,
         mismatched: 0,
         stale: 0,
     };
     for i in 0..ops {
-        let query = query_for(i);
+        let query = query_for(0, i);
         let t0 = Instant::now();
         match router.search_top_k("coll", &query, K) {
             Ok((hits, origin)) => {
-                phase.latencies_us.push(t0.elapsed().as_micros() as u64);
+                phase.latencies.record_since(t0);
                 if origin == ResultOrigin::Stale {
                     phase.stale += 1;
                 }
@@ -180,12 +132,11 @@ fn run_phase(
     phase
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (docs, ops) = if smoke { (8, 40) } else { (20, 200) };
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
+    let (docs, ops) = mode.pick((8, 40), (20, 200));
 
-    let baseline = build_system(docs);
+    let baseline = gate_system(docs, None);
     let servers: Vec<ReplicaServer> = (0..PARTITIONS)
         .map(|p| {
             ReplicaServer::serve(build_partition(docs, p, PARTITIONS), "127.0.0.1:0")
@@ -217,90 +168,62 @@ fn main() {
     let degraded = run_phase("degraded", &router, None, ops);
     let stats = router.stats();
 
-    println!(
-        "{:>10} {:>6} {:>10} {:>10} {:>10} {:>8} {:>10} {:>6}",
-        "phase", "ops", "p50(us)", "p99(us)", "max(us)", "failed", "mismatch", "stale"
+    let phases = [&healthy, &degraded].map(|phase| {
+        Json::object([
+            ("phase", phase.name.into()),
+            ("ops", phase.ops.into()),
+            ("p50_us", phase.latencies.quantile(0.5).into()),
+            ("p99_us", phase.latencies.quantile(0.99).into()),
+            ("max_us", phase.latencies.max().into()),
+            ("failed", phase.failed.into()),
+            ("mismatched", phase.mismatched.into()),
+            ("stale", phase.stale.into()),
+        ])
+    });
+    let router_stats = Json::object([
+        ("requests", stats.requests.into()),
+        ("scatter_failures", stats.scatter_failures.into()),
+        ("stale_serves", stats.stale_serves.into()),
+        ("exhausted", stats.exhausted.into()),
+    ]);
+    mode.write(
+        "shard",
+        &Json::object([
+            ("bench", "shard_scatter_gather".into()),
+            ("mode", mode.name().into()),
+            ("partitions", PARTITIONS.into()),
+            ("docs", docs.into()),
+            ("phases", Json::Array(phases.into())),
+            ("router", router_stats),
+        ]),
     );
-    for phase in [&healthy, &degraded] {
-        println!(
-            "{:>10} {:>6} {:>10} {:>10} {:>10} {:>8} {:>10} {:>6}",
-            phase.name,
-            phase.ops,
-            phase.quantile_us(0.5),
-            phase.quantile_us(0.99),
-            phase.max_us(),
-            phase.failed,
-            phase.mismatched,
-            phase.stale
-        );
-    }
-    println!(
-        "router: {} requests, {} scatter failures, {} stale serves, {} exhausted",
-        stats.requests, stats.scatter_failures, stats.stale_serves, stats.exhausted
-    );
-
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"shard_scatter_gather\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"partitions\": {PARTITIONS},\n"));
-    out.push_str(&format!("  \"docs\": {docs},\n"));
-    out.push_str("  \"phases\": [\n");
-    let phases = [&healthy, &degraded];
-    for (i, phase) in phases.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"ops\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {}, \"failed\": {}, \"mismatched\": {}, \"stale\": {}}}{}\n",
-            phase.name,
-            phase.ops,
-            phase.quantile_us(0.5),
-            phase.quantile_us(0.99),
-            phase.max_us(),
-            phase.failed,
-            phase.mismatched,
-            phase.stale,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"router\": {{\"requests\": {}, \"scatter_failures\": {}, \"stale_serves\": {}, \
-         \"exhausted\": {}}}\n",
-        stats.requests, stats.scatter_failures, stats.stale_serves, stats.exhausted
-    ));
-    out.push_str("}\n");
-
-    let path = std::path::Path::new("BENCH_shard.json");
-    std::fs::write(path, &out).expect("write BENCH_shard.json");
-    println!("wrote {}", path.display());
 
     for server in servers {
         server.shutdown();
     }
 
-    if healthy.failed > 0 {
-        eprintln!("REGRESSION: {} scattered reads failed", healthy.failed);
-        std::process::exit(1);
-    }
-    if healthy.mismatched > 0 {
-        eprintln!(
-            "REGRESSION: {} merged results diverged from single-node evaluation",
+    let mut gates = Gates::new();
+    gates.check(
+        healthy.failed > 0,
+        format!("{} scattered reads failed", healthy.failed),
+    );
+    gates.check(
+        healthy.mismatched > 0,
+        format!(
+            "{} merged results diverged from single-node evaluation",
             healthy.mismatched
-        );
-        std::process::exit(1);
-    }
-    if degraded.failed > 0 {
-        eprintln!(
-            "REGRESSION: {} warmed queries failed with a partition down",
+        ),
+    );
+    gates.check(
+        degraded.failed > 0,
+        format!(
+            "{} warmed queries failed with a partition down",
             degraded.failed
-        );
-        std::process::exit(1);
-    }
-    if stats.stale_serves == 0 {
-        eprintln!("REGRESSION: a partition was down but no stale serve happened");
-        std::process::exit(1);
-    }
+        ),
+    );
+    gates.check(
+        stats.stale_serves == 0,
+        "a partition was down but no stale serve happened",
+    );
+    ExitCode::from(gates.code())
 }

@@ -19,13 +19,14 @@
 //! drain by more than 2x, if any task fails, or if the batched run does
 //! not actually merge anything.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use coupling::tasks::{SchedulerConfig, TaskExecutor, TaskFilter, TaskKind, TaskQueue, TaskStatus};
-use coupling::{CollectionSetup, DocumentSystem, SharedSystem};
-use sgml::{CorpusConfig, CorpusGenerator};
+use coupling::{CollectionSetup, SharedSystem};
+use coupling_bench::harness::{Gates, Json, Mode};
+use coupling_bench::workload::gate_corpus;
 
-const TOPICS: usize = 6;
 const BATCH_MAX: usize = 32;
 const TASKS: usize = 12;
 
@@ -36,30 +37,17 @@ struct Run {
     wall_us: u128,
     batches: u64,
     merged: u64,
+    failed: usize,
 }
 
-/// A corpus system with an *empty* paragraph collection — the tasks
-/// under test perform the initial ingest themselves.
-fn build_system(docs: usize) -> DocumentSystem {
-    let mut generator = CorpusGenerator::new(CorpusConfig {
-        docs,
-        topics: TOPICS,
-        vocabulary: 400,
-        ..CorpusConfig::default()
-    });
-    let mut sys = DocumentSystem::new();
-    for doc in generator.generate_corpus() {
-        sys.load_generated(&doc).expect("corpus loads");
-    }
-    sys.create_collection("coll", CollectionSetup::builder().build())
-        .expect("fresh collection");
-    sys
-}
-
-/// Enqueue `tasks` identical ingest tasks, then drain them with one
-/// executor and report the wall clock of the drain alone.
+/// Enqueue `tasks` identical ingest tasks into a corpus system with an
+/// *empty* paragraph collection, then drain them with one executor and
+/// report the wall clock of the drain alone.
 fn run_ingest(docs: usize, tasks: usize, batching: bool) -> Run {
-    let shared = SharedSystem::new(build_system(docs));
+    let mut sys = gate_corpus(docs);
+    sys.create_collection("coll", CollectionSetup::default())
+        .expect("fresh collection");
+    let shared = SharedSystem::new(sys);
     let queue = TaskQueue::open(None, tasks + 1, 16).expect("in-memory queue");
     let kind = TaskKind::IndexObjects {
         collection: "coll".into(),
@@ -76,15 +64,11 @@ fn run_ingest(docs: usize, tasks: usize, batching: bool) -> Run {
     let t0 = Instant::now();
     executor.drain();
     let wall_us = t0.elapsed().as_micros();
-    let done = queue.list_tasks(&TaskFilter::default());
-    let failed = done
+    let failed = queue
+        .list_tasks(&TaskFilter::default())
         .iter()
         .filter(|t| t.status != TaskStatus::Succeeded)
         .count();
-    if failed > 0 {
-        eprintln!("REGRESSION: {failed} ingest tasks did not succeed");
-        std::process::exit(1);
-    }
     let stats = queue.stats();
     Run {
         batching,
@@ -92,72 +76,47 @@ fn run_ingest(docs: usize, tasks: usize, batching: bool) -> Run {
         wall_us,
         batches: stats.batches,
         merged: stats.merged,
+        failed,
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+fn main() -> ExitCode {
+    let mode = Mode::from_args();
     // Full mode: ~2000 docs x ~5.5 paragraphs ≈ 10^4 IRS documents.
-    let docs = if smoke { 30 } else { 2000 };
+    let docs = mode.pick(30, 2000);
 
     println!("bench_tasks: {TASKS} identical ingest tasks over {docs} docs, batch_max {BATCH_MAX}");
-    println!(
-        "{:>10} {:>6} {:>12} {:>8} {:>8}",
-        "batching", "tasks", "wall(us)", "batches", "merged"
-    );
-    let runs: Vec<Run> = [false, true]
-        .into_iter()
-        .map(|batching| {
-            let run = run_ingest(docs, TASKS, batching);
-            println!(
-                "{:>10} {:>6} {:>12} {:>8} {:>8}",
-                run.batching, run.tasks, run.wall_us, run.batches, run.merged
-            );
-            run
-        })
-        .collect();
-
+    let runs = [false, true].map(|batching| run_ingest(docs, TASKS, batching));
     let speedup = runs[0].wall_us as f64 / runs[1].wall_us.max(1) as f64;
-    println!("batching speedup: {speedup:.2}x");
 
-    // Hand-rolled JSON: the workspace deliberately carries no serde.
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"task_batching_ingest\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"docs\": {docs},\n"));
-    out.push_str(&format!("  \"batch_max\": {BATCH_MAX},\n"));
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"batching\": {}, \"tasks\": {}, \"wall_us\": {}, \"batches\": {}, \
-             \"merged\": {}}}{}\n",
-            run.batching,
-            run.tasks,
-            run.wall_us,
-            run.batches,
-            run.merged,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"speedup\": {speedup:.3}\n"));
-    out.push_str("}\n");
+    let rows = runs.iter().map(|run| {
+        Json::object([
+            ("batching", run.batching.into()),
+            ("tasks", run.tasks.into()),
+            ("wall_us", run.wall_us.into()),
+            ("batches", run.batches.into()),
+            ("merged", run.merged.into()),
+        ])
+    });
+    mode.write(
+        "tasks",
+        &Json::object([
+            ("bench", "task_batching_ingest".into()),
+            ("mode", mode.name().into()),
+            ("docs", docs.into()),
+            ("batch_max", BATCH_MAX.into()),
+            ("runs", Json::Array(rows.collect())),
+            ("speedup", Json::Fixed(speedup, 3)),
+        ]),
+    );
 
-    let path = std::path::Path::new("BENCH_tasks.json");
-    std::fs::write(path, &out).expect("write BENCH_tasks.json");
-    println!("wrote {}", path.display());
-
-    let batched = &runs[1];
-    if batched.merged == 0 {
-        eprintln!("REGRESSION: the batched drain merged nothing");
-        std::process::exit(1);
-    }
-    if speedup <= 2.0 {
-        eprintln!("REGRESSION: batching speedup {speedup:.2}x is not above 2x");
-        std::process::exit(1);
-    }
+    let mut gates = Gates::new();
+    let failed: usize = runs.iter().map(|r| r.failed).sum();
+    gates.check(failed > 0, format!("{failed} ingest tasks did not succeed"));
+    gates.check(runs[1].merged == 0, "the batched drain merged nothing");
+    gates.check(
+        speedup <= 2.0,
+        format!("batching speedup {speedup:.2}x is not above 2x"),
+    );
+    ExitCode::from(gates.code())
 }

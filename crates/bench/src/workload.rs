@@ -2,8 +2,11 @@
 //! [`DocumentSystem`], with ground-truth bookkeeping for quality metrics.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 use coupling::{CollectionSetup, DocumentSystem};
+use irs::FaultPlan;
 use oodb::Oid;
 use sgml::gen::{topic_term, ParaTruth};
 use sgml::{CorpusConfig, CorpusGenerator, GeneratedDoc};
@@ -17,7 +20,8 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// A small workload for fast Criterion iterations.
+    /// A small workload for fast runs (`experiments -- --small`,
+    /// `bench_query --smoke`).
     pub fn small() -> Self {
         WorkloadConfig {
             corpus: CorpusConfig {
@@ -156,6 +160,62 @@ pub fn relevant_topic_pairs(cs: &CorpusSystem) -> Vec<(usize, usize)> {
         }
     }
     pairs
+}
+
+/// Topics in the gated benches' corpus.
+const GATE_TOPICS: usize = 6;
+
+/// Latency injected into every IRS call by [`gate_system`] when the
+/// bench models the paper's out-of-process IRS.
+pub const IRS_LATENCY: Duration = Duration::from_millis(2);
+
+/// The gated benches' corpus: `docs` generated documents over six
+/// topics and a 400-word vocabulary, loaded into a fresh system with no
+/// collections.
+pub fn gate_corpus(docs: usize) -> DocumentSystem {
+    let mut generator = CorpusGenerator::new(CorpusConfig {
+        docs,
+        topics: GATE_TOPICS,
+        vocabulary: 400,
+        ..CorpusConfig::default()
+    });
+    let mut sys = DocumentSystem::new();
+    for doc in generator.generate_corpus() {
+        sys.load_generated(&doc).expect("corpus loads");
+    }
+    sys
+}
+
+/// [`gate_corpus`] plus collection `coll` over every PARA. Its result
+/// buffer holds one entry, so repeated queries travel to the IRS; with
+/// `irs_latency` every IRS call also sleeps that long.
+pub fn gate_system(docs: usize, irs_latency: Option<Duration>) -> DocumentSystem {
+    let mut sys = gate_corpus(docs);
+    sys.create_collection(
+        "coll",
+        CollectionSetup::builder().buffer_capacity(1).build(),
+    )
+    .expect("fresh collection");
+    sys.index_collection("coll", "ACCESS p FROM p IN PARA")
+        .expect("paragraphs index");
+    if let Some(latency) = irs_latency {
+        sys.collection_mut("coll")
+            .expect("collection exists")
+            .inject_faults(Some(Arc::new(FaultPlan::new(1).with_latency(latency))));
+    }
+    sys
+}
+
+/// Distinct topic-pair query for client `c`, request `i`: keeps a
+/// one-slot buffer cold and spreads work across the index.
+pub fn query_for(c: usize, i: usize) -> String {
+    let a = (c + i) % GATE_TOPICS;
+    let b = (c + i + 1 + i % (GATE_TOPICS - 1)) % GATE_TOPICS;
+    if a == b {
+        topic_term(a)
+    } else {
+        format!("#and({} {})", topic_term(a), topic_term(b))
+    }
 }
 
 #[cfg(test)]

@@ -57,13 +57,10 @@ use crate::stale::StaleStore;
 #[derive(Debug, Clone, Default)]
 pub struct PartitionConfig {
     /// Hedging/breaker/retry configuration applied to *each* partition
-    /// group independently (its per-group stale store is unused — stale
-    /// fallback happens on the merged result instead, see
-    /// [`PartitionConfig::stale_capacity`]).
+    /// group independently. Its `stale_capacity` sizes the router's
+    /// merged-result stale store; the per-group stale stores are unused,
+    /// since stale fallback happens on the merged result.
     pub remote: RemoteConfig,
-    /// Entries kept in the router's merged-result stale store. `None`
-    /// inherits the remote config's capacity.
-    pub stale_capacity: Option<usize>,
 }
 
 /// Counter snapshot of the scatter/gather router (see
@@ -104,15 +101,12 @@ impl<T: ReplicaTransport> PartitionedIrs<T> {
     /// transport)` replicas per partition. Partition order is fixed at
     /// construction and carries no semantics (results merge by score).
     pub fn new(groups: Vec<Vec<(String, T)>>, config: PartitionConfig) -> Self {
-        let capacity = config
-            .stale_capacity
-            .unwrap_or(config.remote.stale_capacity);
         PartitionedIrs {
             groups: groups
                 .into_iter()
                 .map(|replicas| RemoteIrs::new(replicas, config.remote.clone()))
                 .collect(),
-            stale: StaleStore::new(capacity),
+            stale: StaleStore::new(config.remote.stale_capacity),
             counters: Counters::default(),
         }
     }
@@ -408,7 +402,6 @@ mod tests {
                 attempt_timeout: std::time::Duration::from_millis(200),
                 ..RemoteConfig::default()
             },
-            stale_capacity: None,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Per-request observability for the serving layer.
 //!
 //! Counters are lock-free atomics bumped on the request path; the
-//! latency distribution is a fixed array of power-of-two microsecond
+//! latency distribution is a fixed array of log-linear microsecond
 //! buckets, so recording is one `fetch_add` and percentile estimates
 //! need no sorting. [`Metrics::snapshot`] turns the live counters into
 //! an immutable [`MetricsSnapshot`] for reporting.
@@ -11,10 +11,35 @@ use std::time::Duration;
 
 use coupling::ResultOrigin;
 
-/// Number of log2 latency buckets: bucket `i` holds requests whose
-/// total latency (queue wait + execution) fell in `[2^i, 2^(i+1))`
-/// microseconds. 40 buckets cover up to ~2^40 µs ≈ 12 days.
-const BUCKETS: usize = 40;
+/// Log2 of the linear sub-buckets per power of two. Latencies (queue
+/// wait + execution, whole µs) below `SUB` get one bucket each; above,
+/// each `[2^p, 2^(p+1))` splits into `SUB` equal buckets, so a bucket
+/// is at most 1/8 as wide as its lower bound and a percentile read off
+/// its upper bound is at most 12.5% high.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets cover latencies below 2^40 µs ≈ 12 days; slower requests
+/// land in the last bucket.
+const BUCKETS: usize = SUB + (40 - SUB_BITS as usize) * SUB;
+
+/// Bucket holding a latency of `us` microseconds.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB as u64 {
+        return us as usize;
+    }
+    let shift = 63 - us.leading_zeros() - SUB_BITS;
+    let sub = (us >> shift) as usize - SUB;
+    (SUB + shift as usize * SUB + sub).min(BUCKETS - 1)
+}
+
+/// Exclusive upper bound (µs) of bucket `i`.
+fn bucket_upper(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64 + 1;
+    }
+    let (shift, sub) = ((i - SUB) / SUB, (i - SUB) % SUB);
+    ((SUB + sub + 1) as u64) << shift
+}
 
 /// Live counters of one [`crate::Server`]. Shared by all worker
 /// threads; every field is updated with relaxed atomics.
@@ -94,8 +119,7 @@ impl Metrics {
         };
         origin_counter.fetch_add(1, Ordering::Relaxed);
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency_buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
         self.latency_max_us.fetch_max(us, Ordering::Relaxed);
     }
@@ -155,7 +179,7 @@ impl MetricsSnapshot {
 }
 
 /// Upper bound (µs) of the bucket containing quantile `q`, i.e. a
-/// conservative percentile estimate with power-of-two resolution.
+/// conservative percentile estimate at most 12.5% high.
 fn percentile(buckets: &[u64], total: u64, q: f64) -> u64 {
     if total == 0 {
         return 0;
@@ -165,10 +189,10 @@ fn percentile(buckets: &[u64], total: u64, q: f64) -> u64 {
     for (i, &count) in buckets.iter().enumerate() {
         seen += count;
         if seen >= rank {
-            return 1u64 << (i + 1).min(63);
+            return bucket_upper(i);
         }
     }
-    1u64 << 63
+    bucket_upper(BUCKETS - 1)
 }
 
 /// Point-in-time view of a server's counters.
@@ -243,9 +267,12 @@ mod tests {
         assert_eq!(s.rejected_overload, 1);
         assert_eq!(s.origin_fresh, 1);
         assert_eq!(s.origin_buffered, 1);
-        // 3 µs falls in [2,4) → upper bound 4; 1000 µs in [512,1024) → 1024.
+        // 3 µs has its own bucket [3,4) → upper bound 4; 1000 µs falls
+        // in [960,1024) → 1024 (log2 buckets: [2,4) and [512,1024)).
         assert_eq!(s.p50_us, 4);
         assert_eq!(s.p99_us, 1024);
+        assert_eq!(bucket_upper(bucket_of(3) - 1), 3);
+        assert_eq!(bucket_upper(bucket_of(1000) - 1), 960);
         assert_eq!(s.max_us, 1000);
         assert!((s.mean_us - 501.5).abs() < 1e-9);
     }
@@ -264,7 +291,34 @@ mod tests {
         m.request_completed(Duration::from_nanos(10), None);
         let s = m.snapshot();
         assert_eq!(s.completed, 1);
-        assert_eq!(s.p50_us, 2);
+        // Bucket [0,1): sub-microsecond requests read as under 1 µs.
+        assert_eq!(s.p50_us, 1);
+    }
+
+    #[test]
+    fn uniform_spread_p50_is_within_bucket_error() {
+        let m = Metrics::new();
+        for us in (1000..=5000).step_by(10) {
+            m.request_completed(Duration::from_micros(us), None);
+        }
+        let s = m.snapshot();
+        // Median 3000 µs falls in [2816,3072); log2 buckets read 4096.
+        assert_eq!(s.p50_us, 3072);
+        assert!(s.p50_us.abs_diff(3000) as f64 <= 3000.0 * 0.125);
+        assert!(s.p99_us >= 4960 && s.p99_us as f64 <= 4960.0 * 1.125);
+    }
+
+    #[test]
+    fn buckets_are_contiguous_and_at_most_an_eighth_wide() {
+        let mut lower = 0;
+        for i in 0..BUCKETS {
+            let upper = bucket_upper(i);
+            assert_eq!(bucket_of(lower), i);
+            assert_eq!(bucket_of(upper - 1), i);
+            assert!(lower < SUB as u64 || (upper - lower) * 8 <= lower);
+            lower = upper;
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

@@ -179,7 +179,6 @@ fn tight_config() -> PartitionConfig {
             },
             stale_capacity: 16,
         },
-        stale_capacity: None,
     }
 }
 
