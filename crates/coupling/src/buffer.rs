@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use oodb::codec::{put_f64, put_u64, DecodeResult, Reader};
 use oodb::Oid;
 
 use crate::error::{CouplingError, Result};
@@ -375,6 +376,14 @@ impl ResultBuffer {
     /// trailer ([`irs::persist::atomic_write`]). Only fresh entries are
     /// saved; the stale store is a runtime-degradation artifact.
     pub fn save(&self, path: &Path) -> Result<()> {
+        irs::persist::atomic_write(path, &self.encode()).map_err(CouplingError::Irs)
+    }
+
+    /// The payload [`ResultBuffer::save`] writes. Layout, integers as 8
+    /// little-endian bytes: the entry count, then per entry the key
+    /// length, the key, the hit count, and each hit's oid and score
+    /// bits.
+    fn encode(&self) -> Vec<u8> {
         // Collect the union of all shards, sorted by key so the file is
         // deterministic and independent of shard layout.
         let mut entries: Vec<(String, ResultMap)> = Vec::new();
@@ -387,7 +396,6 @@ impl ResultBuffer {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut out = Vec::new();
-        let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
         put_u64(&mut out, entries.len() as u64);
         for (key, map) in &entries {
             put_u64(&mut out, key.len() as u64);
@@ -397,58 +405,50 @@ impl ResultBuffer {
             oids.sort_by_key(|(o, _)| **o);
             for (oid, val) in oids {
                 put_u64(&mut out, oid.0);
-                put_u64(&mut out, val.to_bits());
+                put_f64(&mut out, *val);
             }
         }
-        irs::persist::atomic_write(path, &out).map_err(CouplingError::Irs)
+        out
     }
 
     /// Load a buffer previously written by [`ResultBuffer::save`],
     /// verifying its CRC-32 trailer. Capacity and statistics start fresh.
+    /// A payload that does not decode is [`irs::IrsError::CorruptIndex`].
     pub fn load(path: &Path, capacity: usize) -> Result<Self> {
         let bytes = irs::persist::read_verified(path).map_err(CouplingError::Irs)?;
-        let mut pos = 0usize;
-        let take_u64 = |bytes: &[u8], pos: &mut usize| -> Result<u64> {
-            if *pos + 8 > bytes.len() {
-                return Err(CouplingError::Irs(irs::IrsError::CorruptIndex(
-                    "truncated buffer file".into(),
-                )));
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[*pos..*pos + 8]);
-            *pos += 8;
-            Ok(u64::from_le_bytes(b))
-        };
-        let n = take_u64(&bytes, &mut pos)? as usize;
         let out = ResultBuffer::new(capacity);
-        for _ in 0..n {
-            let klen = take_u64(&bytes, &mut pos)? as usize;
-            if pos + klen > bytes.len() {
-                return Err(CouplingError::Irs(irs::IrsError::CorruptIndex(
-                    "truncated buffer key".into(),
-                )));
-            }
-            let key = String::from_utf8(bytes[pos..pos + klen].to_vec()).map_err(|_| {
-                CouplingError::Irs(irs::IrsError::CorruptIndex("non-utf8 buffer key".into()))
-            })?;
-            pos += klen;
-            let m = take_u64(&bytes, &mut pos)? as usize;
-            let mut map = ResultMap::with_capacity(m);
-            for _ in 0..m {
-                let oid = Oid(take_u64(&bytes, &mut pos)?);
-                let val = f64::from_bits(take_u64(&bytes, &mut pos)?);
-                map.insert(oid, val);
-            }
-            out.insert(&key, map);
-        }
+        decode_entries(&bytes, &out).map_err(|e| {
+            CouplingError::Irs(irs::IrsError::CorruptIndex(format!("buffer file: {e}")))
+        })?;
         out.evictions.store(0, Ordering::Relaxed);
         Ok(out)
     }
 }
 
+/// Insert the entries of a [`ResultBuffer::save`] payload into `out`.
+/// Counts are bounded by the bytes left: an entry takes at least its
+/// key length and hit count, a hit its oid and score.
+fn decode_entries(bytes: &[u8], out: &ResultBuffer) -> DecodeResult<()> {
+    let mut r = Reader::new(bytes);
+    let n = r.count_u64(16, "buffer entry list")?;
+    for _ in 0..n {
+        let klen = r.count_u64(1, "buffer key")?;
+        let key = r.utf8(klen, "buffer key")?;
+        let m = r.count_u64(16, "buffer hit list")?;
+        let mut map = ResultMap::with_capacity(m);
+        for _ in 0..m {
+            let oid = Oid(r.u64("hit oid")?);
+            map.insert(oid, r.f64("hit score")?);
+        }
+        out.insert(&key, map);
+    }
+    r.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn map(pairs: &[(u64, f64)]) -> ResultMap {
         pairs.iter().map(|&(o, v)| (Oid(o), v)).collect()
@@ -609,6 +609,27 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_hostile_lengths_and_counts() {
+        let dir = std::env::temp_dir().join("coupling-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.bin");
+        let le = |v: u64| v.to_le_bytes();
+        // One entry whose key length is u64::MAX.
+        let huge_key = [le(1), le(u64::MAX)].concat();
+        // One entry, key "q", claiming 2^60 hits.
+        let huge_hits = [&le(1)[..], &le(1), b"q", &le(1 << 60)].concat();
+        // 2^60 entries.
+        let huge_entries = le(1 << 60).to_vec();
+        for payload in [huge_key, huge_hits, huge_entries] {
+            irs::persist::atomic_write(&path, &payload).unwrap();
+            assert!(matches!(
+                ResultBuffer::load(&path, 8),
+                Err(CouplingError::Irs(irs::IrsError::CorruptIndex(_)))
+            ));
+        }
+    }
+
+    #[test]
     fn invalidated_entries_move_to_stale_store() {
         let b = ResultBuffer::new(8);
         b.insert("q1", map(&[(1, 0.5)]));
@@ -691,5 +712,30 @@ mod tests {
         });
         assert_eq!(b.len(), 200);
         assert_eq!(b.stats().hits, 200);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A CRC-valid buffer payload with overwritten bytes or a cut
+        /// tail never panics the decoder.
+        #[test]
+        fn mutated_payloads_never_panic(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            trim in 0usize..4,
+        ) {
+            let mut bytes = {
+                let b = ResultBuffer::new(8);
+                b.insert("q1", map(&[(1, 0.5), (2, 0.25)]));
+                b.insert("q2", map(&[(3, 1.0)]));
+                b.encode()
+            };
+            for (i, b) in edits {
+                let n = bytes.len();
+                bytes[i % n] = b;
+            }
+            bytes.truncate(bytes.len().saturating_sub(trim));
+            let _ = decode_entries(&bytes, &ResultBuffer::new(8));
+        }
     }
 }

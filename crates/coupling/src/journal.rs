@@ -23,6 +23,7 @@
 
 use std::path::Path;
 
+use oodb::codec::Reader;
 use oodb::log::Log;
 use oodb::Oid;
 
@@ -45,9 +46,10 @@ fn encode_op(op: PendingOp) -> [u8; OP_LEN] {
 }
 
 fn decode_op(payload: &[u8]) -> Option<PendingOp> {
-    let oid_bytes: [u8; 8] = payload.get(1..)?.try_into().ok()?;
-    let oid = Oid(u64::from_le_bytes(oid_bytes));
-    match payload[0] {
+    let mut r = Reader::new(payload);
+    let (tag, oid) = (r.u8("op tag").ok()?, Oid(r.u64("op oid").ok()?));
+    r.finish().ok()?;
+    match tag {
         1 => Some(PendingOp::Insert(oid)),
         2 => Some(PendingOp::Modify(oid)),
         3 => Some(PendingOp::Delete(oid)),

@@ -52,6 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use oodb::codec::{put_str, put_u32, put_u64, DecodeError, DecodeResult, Reader};
 use oodb::log::Log;
 use oodb::Oid;
 
@@ -154,6 +155,71 @@ impl TaskKind {
             (TaskKind::Flush { collection: c1 }, TaskKind::Flush { collection: c2 }) => c1 == c2,
             _ => false,
         }
+    }
+
+    /// Append the kind's one byte layout, shared by the ledger's
+    /// `Enqueued` record and the wire's task payloads: a tag byte
+    /// (0 = `IndexObjects`, 1 = `UpdateText`, 2 = `Flush`), then the
+    /// fields in declaration order — strings with a `u32` length
+    /// prefix, the oid as 8 bytes, the collection list as a `u32`
+    /// count of strings.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            TaskKind::IndexObjects {
+                collection,
+                spec_query,
+            } => {
+                buf.push(0);
+                put_str(buf, collection);
+                put_str(buf, spec_query);
+            }
+            TaskKind::UpdateText {
+                oid,
+                text,
+                collections,
+            } => {
+                buf.push(1);
+                put_u64(buf, oid.0);
+                put_str(buf, text);
+                put_u32(buf, collections.len() as u32);
+                for name in collections {
+                    put_str(buf, name);
+                }
+            }
+            TaskKind::Flush { collection } => {
+                buf.push(2);
+                put_str(buf, collection);
+            }
+        }
+    }
+
+    /// Inverse of [`TaskKind::encode`]: read one kind from `r`.
+    pub fn decode(r: &mut Reader<'_>) -> DecodeResult<TaskKind> {
+        Ok(match r.u8("task kind tag")? {
+            0 => TaskKind::IndexObjects {
+                collection: r.string("collection")?,
+                spec_query: r.string("spec query")?,
+            },
+            1 => {
+                let oid = Oid(r.u64("oid")?);
+                let text = r.string("text")?;
+                // Each name takes at least its length prefix.
+                let n = r.count_u32(4, "collection list")?;
+                let mut collections = Vec::with_capacity(n);
+                for _ in 0..n {
+                    collections.push(r.string("collection name")?);
+                }
+                TaskKind::UpdateText {
+                    oid,
+                    text,
+                    collections,
+                }
+            }
+            2 => TaskKind::Flush {
+                collection: r.string("collection")?,
+            },
+            tag => return Err(DecodeError::unknown("task kind tag", tag)),
+        })
     }
 }
 
@@ -277,124 +343,6 @@ const REC_ENQUEUED: u8 = 0x10;
 const REC_STARTED: u8 = 0x11;
 const REC_FINISHED: u8 = 0x12;
 
-const KIND_INDEX: u8 = 0;
-const KIND_UPDATE: u8 = 1;
-const KIND_FLUSH: u8 = 2;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Rd<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(bytes: &'a [u8]) -> Rd<'a> {
-        Rd { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len())?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-fn encode_kind(buf: &mut Vec<u8>, kind: &TaskKind) {
-    match kind {
-        TaskKind::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(KIND_INDEX);
-            put_str(buf, collection);
-            put_str(buf, spec_query);
-        }
-        TaskKind::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(KIND_UPDATE);
-            put_u64(buf, oid.0);
-            put_str(buf, text);
-            put_u32(buf, collections.len() as u32);
-            for name in collections {
-                put_str(buf, name);
-            }
-        }
-        TaskKind::Flush { collection } => {
-            buf.push(KIND_FLUSH);
-            put_str(buf, collection);
-        }
-    }
-}
-
-fn decode_kind(r: &mut Rd<'_>) -> Option<TaskKind> {
-    match r.u8()? {
-        KIND_INDEX => Some(TaskKind::IndexObjects {
-            collection: r.string()?,
-            spec_query: r.string()?,
-        }),
-        KIND_UPDATE => {
-            let oid = Oid(r.u64()?);
-            let text = r.string()?;
-            let n = r.u32()? as usize;
-            // Each name carries at least its length prefix; a hostile
-            // count cannot drive a huge allocation past that check.
-            if n > r.bytes.len().saturating_sub(r.pos) / 4 + 1 {
-                return None;
-            }
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(r.string()?);
-            }
-            Some(TaskKind::UpdateText {
-                oid,
-                text,
-                collections,
-            })
-        }
-        KIND_FLUSH => Some(TaskKind::Flush {
-            collection: r.string()?,
-        }),
-        _ => None,
-    }
-}
-
 enum LedgerRecord {
     Enqueued {
         id: TaskId,
@@ -420,7 +368,7 @@ impl LedgerRecord {
                 buf.push(REC_ENQUEUED);
                 put_u64(&mut buf, *id);
                 put_u64(&mut buf, *tick);
-                encode_kind(&mut buf, kind);
+                kind.encode(&mut buf);
             }
             LedgerRecord::Started { id, batch_id } => {
                 buf.push(REC_STARTED);
@@ -437,26 +385,26 @@ impl LedgerRecord {
         buf
     }
 
-    fn decode(bytes: &[u8]) -> Option<LedgerRecord> {
-        let mut r = Rd::new(bytes);
-        let rec = match r.u8()? {
+    fn decode(bytes: &[u8]) -> DecodeResult<LedgerRecord> {
+        let mut r = Reader::new(bytes);
+        let rec = match r.u8("record tag")? {
             REC_ENQUEUED => LedgerRecord::Enqueued {
-                id: r.u64()?,
-                tick: r.u64()?,
-                kind: decode_kind(&mut r)?,
+                id: r.u64("task id")?,
+                tick: r.u64("enqueued tick")?,
+                kind: TaskKind::decode(&mut r)?,
             },
             REC_STARTED => LedgerRecord::Started {
-                id: r.u64()?,
-                batch_id: r.u64()?,
+                id: r.u64("task id")?,
+                batch_id: r.u64("batch id")?,
             },
             REC_FINISHED => LedgerRecord::Finished {
-                id: r.u64()?,
-                ok: r.u8()? != 0,
-                error: r.string()?,
+                id: r.u64("task id")?,
+                ok: r.u8("outcome")? != 0,
+                error: r.string("task error")?,
             },
-            _ => return None,
+            tag => return Err(DecodeError::unknown("record tag", tag)),
         };
-        r.done().then_some(rec)
+        r.finish().map(|()| rec)
     }
 }
 
@@ -497,7 +445,7 @@ impl Ledger {
             // Records that frame correctly but no longer decode (format
             // skew) are skipped rather than wedging recovery.
             match LedgerRecord::decode(raw) {
-                Some(LedgerRecord::Enqueued { id, tick, kind }) => {
+                Ok(LedgerRecord::Enqueued { id, tick, kind }) => {
                     ledger.tasks.insert(
                         id,
                         Task {
@@ -508,17 +456,17 @@ impl Ledger {
                             batch_id: None,
                         },
                     );
-                    ledger.next_id = ledger.next_id.max(id + 1);
+                    ledger.next_id = ledger.next_id.max(id.saturating_add(1));
                     ledger.tick = ledger.tick.max(tick);
                 }
-                Some(LedgerRecord::Started { id, batch_id }) => {
+                Ok(LedgerRecord::Started { id, batch_id }) => {
                     if let Some(task) = ledger.tasks.get_mut(&id) {
                         task.status = TaskStatus::Processing;
                         task.batch_id = Some(batch_id);
                     }
-                    ledger.next_batch = ledger.next_batch.max(batch_id + 1);
+                    ledger.next_batch = ledger.next_batch.max(batch_id.saturating_add(1));
                 }
-                Some(LedgerRecord::Finished { id, ok, error }) => {
+                Ok(LedgerRecord::Finished { id, ok, error }) => {
                     if let Some(task) = ledger.tasks.get_mut(&id) {
                         task.status = if ok {
                             TaskStatus::Succeeded
@@ -527,7 +475,7 @@ impl Ledger {
                         };
                     }
                 }
-                None => {}
+                Err(_) => {}
             }
         }
         for task in ledger.tasks.values_mut() {
@@ -768,13 +716,20 @@ impl TaskQueue {
             return Err(CouplingError::Overloaded(self.inner.capacity));
         }
         let id = ledger.next_id;
-        let tick = ledger.tick + 1;
+        // Replay saturates at the largest id; a ledger that reached it
+        // cannot hand out a fresh one.
+        let next_id = id.checked_add(1).ok_or_else(|| {
+            CouplingError::Db(oodb::DbError::Corrupt(
+                "task ledger: task ids exhausted".into(),
+            ))
+        })?;
+        let tick = ledger.tick.saturating_add(1);
         ledger.append(&LedgerRecord::Enqueued {
             id,
             tick,
             kind: kind.clone(),
         })?;
-        ledger.next_id = id + 1;
+        ledger.next_id = next_id;
         ledger.tick = tick;
         ledger.tasks.insert(
             id,
@@ -895,7 +850,7 @@ impl TaskQueue {
             .map(|&id| LedgerRecord::Started { id, batch_id })
             .collect();
         ledger.append_all(&records)?;
-        ledger.next_batch += 1;
+        ledger.next_batch = batch_id.saturating_add(1);
         for _ in 0..ids.len() {
             ledger.pending.pop_front();
         }
@@ -1367,6 +1322,7 @@ mod tests {
     use super::*;
     use crate::collection::CollectionSetup;
     use crate::system::DocumentSystem;
+    use proptest::prelude::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1433,8 +1389,8 @@ mod tests {
             assert_eq!(decoded.encode(), bytes, "re-encode is stable");
         }
         // Hostile bytes never panic.
-        assert!(LedgerRecord::decode(&[]).is_none());
-        assert!(LedgerRecord::decode(&[0xff, 1, 2]).is_none());
+        assert!(LedgerRecord::decode(&[]).is_err());
+        assert!(LedgerRecord::decode(&[0xff, 1, 2]).is_err());
         let mut truncated = LedgerRecord::Enqueued {
             id: 1,
             tick: 1,
@@ -1442,10 +1398,10 @@ mod tests {
         }
         .encode();
         truncated.pop();
-        assert!(LedgerRecord::decode(&truncated).is_none());
+        assert!(LedgerRecord::decode(&truncated).is_err());
         let mut trailing = LedgerRecord::Started { id: 1, batch_id: 1 }.encode();
         trailing.push(0);
-        assert!(LedgerRecord::decode(&trailing).is_none());
+        assert!(LedgerRecord::decode(&trailing).is_err());
     }
 
     #[test]
@@ -1577,6 +1533,40 @@ mod tests {
     }
 
     #[test]
+    fn replay_of_largest_ids_does_not_overflow() {
+        let dir = tmp_dir("max-ids");
+        let ledger_path = dir.join("tasks.ledger");
+        {
+            // CRC-valid records: `Enqueued` with id u64::MAX (a `Flush`
+            // of "c"), then `Started` with batch id u64::MAX.
+            let enqueued = [&[0x10][..], &u64::MAX.to_le_bytes(), &1u64.to_le_bytes()]
+                .concat()
+                .into_iter()
+                .chain([2, 1, 0, 0, 0, b'c'])
+                .collect::<Vec<u8>>();
+            let started = [
+                &[0x11][..],
+                &u64::MAX.to_le_bytes(),
+                &u64::MAX.to_le_bytes(),
+            ]
+            .concat();
+            let (mut log, _) = Log::open(&ledger_path, TASK_RECORD_MAX).unwrap();
+            log.append_batch(&[enqueued, started]).unwrap();
+        }
+        let queue = TaskQueue::open(Some(&ledger_path), 64, 16).expect("replay succeeds");
+        let task = queue.task_status(u64::MAX).expect("replayed task");
+        assert_eq!(task.status, TaskStatus::Enqueued, "Processing reverted");
+        assert_eq!(task.batch_id, Some(u64::MAX));
+        // No id is left to hand out, and admission says so.
+        assert!(queue
+            .enqueue(TaskKind::Flush {
+                collection: "c".into(),
+            })
+            .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn ledger_survives_reopen_and_reverts_processing_tasks() {
         let dir = tmp_dir("reopen");
         let ledger_path = dir.join("tasks.ledger");
@@ -1641,5 +1631,47 @@ mod tests {
             assert_eq!(coll.get_irs_result("telnet").unwrap().len(), 2);
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A CRC-valid ledger record with overwritten bytes or a cut
+        /// tail never panics the decoder (replay skips what fails).
+        #[test]
+        fn mutated_records_never_panic(
+            which in 0usize..3,
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            trim in 0usize..4,
+        ) {
+            let mut bytes = [
+                LedgerRecord::Enqueued {
+                    id: 7,
+                    tick: 3,
+                    kind: TaskKind::UpdateText {
+                        oid: Oid(9),
+                        text: "text".into(),
+                        collections: vec!["a".into(), "b".into()],
+                    },
+                },
+                LedgerRecord::Enqueued {
+                    id: 8,
+                    tick: 4,
+                    kind: index_task(),
+                },
+                LedgerRecord::Finished {
+                    id: 7,
+                    ok: false,
+                    error: "boom".into(),
+                },
+            ][which]
+                .encode();
+            for (i, b) in edits {
+                let n = bytes.len();
+                bytes[i % n] = b;
+            }
+            bytes.truncate(bytes.len().saturating_sub(trim));
+            let _ = LedgerRecord::decode(&bytes);
+        }
     }
 }

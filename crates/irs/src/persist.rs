@@ -30,9 +30,10 @@
 //! atomically renames it into place; [`read_verified`] rejects any file
 //! whose trailer does not match. A crash mid-save leaves the previous
 //! file intact; torn or bit-flipped files are detected at load. The
-//! helpers are public so the coupling layer persists its own files
-//! (result buffer, collection metadata, journal frames) with the same
-//! guarantees.
+//! helpers are public so the coupling layer persists its own whole-file
+//! artifacts (result buffer, collection metadata) with the same
+//! guarantees; its append-only files (propagation journal, task ledger)
+//! sit on `oodb::log` instead.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -677,7 +678,7 @@ fn load_collection_flat(path: &Path) -> Result<IrsCollection> {
     // Postings. The flat format predates `max_tf`; `from_raw` recomputes
     // it from the delta-encoded bytes.
     let pl_count = get_varint(&buf, &mut pos)? as usize;
-    let mut postings = Vec::with_capacity(pl_count);
+    let mut postings = Vec::with_capacity(pl_count.min(buf.len()));
     for _ in 0..pl_count {
         let doc_count = get_varint(&buf, &mut pos)? as u32;
         let last_doc = get_varint(&buf, &mut pos)? as u32;
@@ -1041,6 +1042,26 @@ mod tests {
         let pl = ix.term_postings("protocol").expect("term present");
         assert!(!pl.blocks().is_empty());
         assert_eq!(pl.blocks().last().unwrap().end, pl.raw().0.len());
+    }
+
+    #[test]
+    fn flat_file_with_huge_postings_count_is_rejected() {
+        // A CRC-valid flat file whose postings-list count is 2^60: the
+        // loader must not reserve capacity for it.
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        put_analyzer(&mut out, &AnalyzerConfig::default());
+        put_model(&mut out, &ModelKind::Boolean);
+        write_varint(&mut out, 1); // shards
+        write_varint(&mut out, 0); // dictionary terms
+        write_varint(&mut out, 1 << 60); // postings lists
+        let path = tmp("huge_pl_count.flat");
+        atomic_write(&path, &out).unwrap();
+        assert!(matches!(
+            load_collection(&path),
+            Err(IrsError::CorruptIndex(_))
+        ));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::codec::DecodeError;
 use crate::oid::Oid;
 
 /// Convenient alias used throughout the crate.
@@ -69,6 +70,13 @@ impl std::error::Error for DbError {
             DbError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// Undecodable bytes in a CRC-valid record or file are corruption.
+impl From<DecodeError> for DbError {
+    fn from(e: DecodeError) -> Self {
+        DbError::Corrupt(e.to_string())
     }
 }
 

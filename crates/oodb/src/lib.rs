@@ -28,6 +28,7 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+pub mod codec;
 pub mod database;
 pub mod error;
 pub mod index;

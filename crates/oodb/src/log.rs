@@ -28,6 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::codec::{put_u32, Reader};
 use crate::error::{DbError, Result};
 use crate::util::{atomic_replace, crc32};
 
@@ -36,25 +37,23 @@ const FRAME_OVERHEAD: usize = 8;
 
 /// Append `payload` to `out` as one framed record.
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u32(out, payload.len() as u32);
     out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    put_u32(out, crc32(payload));
 }
 
 /// The record starting at `pos`, if a complete, CRC-valid one of at most
 /// `max_payload` bytes is there: its payload and the offset just past
 /// it. `None` marks a torn or corrupt tail, or the clean end of input.
 fn next_record(bytes: &[u8], pos: usize, max_payload: usize) -> Option<(&[u8], usize)> {
-    let len_bytes: [u8; 4] = bytes.get(pos..pos.checked_add(4)?)?.try_into().ok()?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let mut r = Reader::new(bytes.get(pos..)?);
+    let len = r.u32("record length").ok()? as usize;
     if len == 0 || len > max_payload {
         return None;
     }
-    let body = pos + 4;
-    let end = body.checked_add(len)?.checked_add(4)?;
-    let payload = bytes.get(body..body + len)?;
-    let crc_bytes: [u8; 4] = bytes.get(body + len..end)?.try_into().ok()?;
-    (crc32(payload) == u32::from_le_bytes(crc_bytes)).then_some((payload, end))
+    let payload = r.take(len, "record payload").ok()?;
+    let crc = r.u32("record crc").ok()?;
+    (crc32(payload) == crc).then_some((payload, pos + FRAME_OVERHEAD + len))
 }
 
 /// An open record log. See the module docs for format and guarantees.

@@ -6,12 +6,13 @@
 
 use std::path::Path;
 
+use crate::codec::{put_varint, put_vstr, DecodeError, Reader};
 use crate::error::{DbError, Result};
 use crate::object::Object;
 use crate::oid::Oid;
 use crate::schema::{ClassId, Schema};
 use crate::store::ObjectStore;
-use crate::util::{atomic_write, read_str, read_varint, read_verified, write_str, write_varint};
+use crate::util::{atomic_write, read_verified};
 use crate::value::Value;
 
 const MAGIC: &[u8; 4] = b"ODBS";
@@ -46,114 +47,119 @@ pub fn write(
     indexes: &[IndexDef],
     store: &ObjectStore,
 ) -> Result<()> {
+    // Crash-safe: temp file + fsync + atomic rename, CRC-32 trailer.
+    atomic_write(path, &encode(schema, indexes, store))
+}
+
+/// The snapshot payload (the file without its CRC trailer).
+fn encode(schema: &Schema, indexes: &[IndexDef], store: &ObjectStore) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
 
     // Schema in class-id order; parents reference earlier ids.
-    write_varint(&mut out, schema.len() as u64);
+    put_varint(&mut out, schema.len() as u64);
     for (_, def) in schema.iter() {
-        write_str(&mut out, &def.name);
+        put_vstr(&mut out, &def.name);
         match def.parent {
             Some(p) => {
                 out.push(1);
-                write_varint(&mut out, u64::from(p.0));
+                put_varint(&mut out, u64::from(p.0));
             }
             None => out.push(0),
         }
     }
 
     // Index definitions.
-    write_varint(&mut out, indexes.len() as u64);
+    put_varint(&mut out, indexes.len() as u64);
     for ix in indexes {
-        write_varint(&mut out, u64::from(ix.class.0));
-        write_str(&mut out, &ix.attr);
+        put_varint(&mut out, u64::from(ix.class.0));
+        put_vstr(&mut out, &ix.attr);
         out.push(ix.kind);
     }
 
     // OID allocator.
-    write_varint(&mut out, store.next_oid());
+    put_varint(&mut out, store.next_oid());
 
     // Objects in OID order.
-    write_varint(&mut out, store.len() as u64);
+    put_varint(&mut out, store.len() as u64);
     for obj in store.iter_ordered() {
-        write_varint(&mut out, obj.oid.0);
-        write_varint(&mut out, u64::from(obj.class.0));
-        write_varint(&mut out, obj.attrs.len() as u64);
+        put_varint(&mut out, obj.oid.0);
+        put_varint(&mut out, u64::from(obj.class.0));
+        put_varint(&mut out, obj.attrs.len() as u64);
         for (name, value) in &obj.attrs {
-            write_str(&mut out, name);
+            put_vstr(&mut out, name);
             value.encode(&mut out);
         }
     }
-
-    // Crash-safe: temp file + fsync + atomic rename, CRC-32 trailer.
-    atomic_write(path, &out)
+    out
 }
 
-/// Load a snapshot previously written by [`write`].
+/// Load a snapshot previously written by [`write()`].
 pub fn read(path: &Path) -> Result<Snapshot> {
     let buf = read_verified(path)?;
-    let mut pos = 0usize;
+    decode(&buf).map_err(|e| match e {
+        DbError::Corrupt(why) => DbError::Corrupt(format!("snapshot: {why}")),
+        other => other,
+    })
+}
 
-    if buf.len() < 5 || &buf[0..4] != MAGIC {
-        return Err(DbError::Corrupt("snapshot: bad magic".into()));
+/// Decode a snapshot payload (the file without its CRC trailer).
+fn decode(buf: &[u8]) -> Result<Snapshot> {
+    let mut r = Reader::new(buf);
+    if r.take(4, "magic")? != MAGIC {
+        return Err(DbError::Corrupt("bad magic".into()));
     }
-    pos += 4;
-    if buf[pos] != VERSION {
-        return Err(DbError::Corrupt(format!("snapshot: version {}", buf[pos])));
+    let version = r.u8("version")?;
+    if version != VERSION {
+        return Err(DbError::Corrupt(format!("version {version}")));
     }
-    pos += 1;
 
-    let corrupt = |what: &str| DbError::Corrupt(format!("snapshot: truncated {what}"));
-
-    let class_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("class count"))? as usize;
+    // Minimum encoded sizes bound each count by the bytes left: a class
+    // is a name length and a parent flag, an index a class id, an attr
+    // length and a kind, an object an oid, a class id and an attr count,
+    // an attribute a name length and a value tag.
+    let class_count = r.count_varint(2, "class count")?;
     let mut schema = Schema::new();
     for _ in 0..class_count {
-        let name = read_str(&buf, &mut pos).ok_or_else(|| corrupt("class name"))?;
-        let has_parent = *buf.get(pos).ok_or_else(|| corrupt("parent flag"))?;
-        pos += 1;
-        let parent = match has_parent {
+        let name = r.vstring("class name")?;
+        let parent = match r.u8("parent flag")? {
             0 => None,
-            1 => Some(ClassId(
-                read_varint(&buf, &mut pos).ok_or_else(|| corrupt("parent id"))? as u32,
-            )),
-            _ => return Err(DbError::Corrupt("snapshot: bad parent flag".into())),
+            1 => Some(class_ref(&mut r, &schema, "parent id")?),
+            flag => return Err(DecodeError::unknown("parent flag", flag).into()),
         };
         schema.define(&name, parent)?;
     }
 
-    let index_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("index count"))? as usize;
+    let index_count = r.count_varint(3, "index count")?;
     let mut indexes = Vec::with_capacity(index_count);
     for _ in 0..index_count {
-        let class =
-            ClassId(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("index class"))? as u32);
-        let attr = read_str(&buf, &mut pos).ok_or_else(|| corrupt("index attr"))?;
-        let kind = *buf.get(pos).ok_or_else(|| corrupt("index kind"))?;
-        pos += 1;
-        indexes.push(IndexDef { class, attr, kind });
+        indexes.push(IndexDef {
+            class: class_ref(&mut r, &schema, "index class")?,
+            attr: r.vstring("index attr")?,
+            kind: r.u8("index kind")?,
+        });
     }
 
-    let next_oid = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("next oid"))?;
+    let next_oid = r.varint("next oid")?;
     let mut store = ObjectStore::new();
     store.bump_oid_floor(next_oid);
 
-    let obj_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("object count"))? as usize;
+    let obj_count = r.count_varint(3, "object count")?;
     for _ in 0..obj_count {
-        let oid = Oid(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("oid"))?);
-        let class = ClassId(read_varint(&buf, &mut pos).ok_or_else(|| corrupt("class id"))? as u32);
-        let attr_count = read_varint(&buf, &mut pos).ok_or_else(|| corrupt("attr count"))? as usize;
+        let oid = Oid(r.varint("oid")?);
+        let class = class_ref(&mut r, &schema, "class id")?;
+        let attr_count = r.count_varint(2, "attr count")?;
         let mut obj = Object::new(oid, class);
         for _ in 0..attr_count {
-            let name = read_str(&buf, &mut pos).ok_or_else(|| corrupt("attr name"))?;
-            let value = Value::decode(&buf, &mut pos).ok_or_else(|| corrupt("attr value"))?;
+            let name = r.vstring("attr name")?;
+            let value = Value::decode(&mut r)?;
             obj.attrs.insert(name, value);
         }
         store.put(obj);
     }
 
-    if pos != buf.len() {
-        return Err(DbError::Corrupt("snapshot: trailing bytes".into()));
-    }
+    r.finish()?;
     Ok(Snapshot {
         schema,
         indexes,
@@ -161,9 +167,19 @@ pub fn read(path: &Path) -> Result<Snapshot> {
     })
 }
 
+/// A class id that names one of the classes decoded so far: objects
+/// and indexes of unknown classes would make later schema lookups panic.
+fn class_ref(r: &mut Reader<'_>, schema: &Schema, what: &str) -> Result<ClassId> {
+    match r.varint(what)? {
+        id if id < schema.len() as u64 => Ok(ClassId(id as u32)),
+        id => Err(DecodeError::unknown(what, id).into()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("oodb-snapshot-tests");
@@ -240,6 +256,36 @@ mod tests {
     }
 
     #[test]
+    fn huge_index_count_is_corrupt() {
+        // CRC-valid payload: no classes, then 2^60 index definitions.
+        let mut out = MAGIC.to_vec();
+        out.push(VERSION);
+        out.extend_from_slice(&[0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]);
+        let path = tmp("huge_index_count.snap");
+        atomic_write(&path, &out).unwrap();
+        assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
+    }
+
+    #[test]
+    fn foreign_class_ids_are_corrupt() {
+        // An object and an index of class 7 in a schema of two classes.
+        let (schema, _, _) = sample();
+        let mut store = ObjectStore::new();
+        let oid = store.allocate_oid();
+        store.put(Object::new(oid, ClassId(7)));
+        let index = IndexDef {
+            class: ClassId(7),
+            attr: "year".into(),
+            kind: 0,
+        };
+        let path = tmp("foreign_class.snap");
+        write(&path, &schema, &[], &store).unwrap();
+        assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
+        write(&path, &schema, &[index], &ObjectStore::new()).unwrap();
+        assert!(matches!(read(&path), Err(DbError::Corrupt(_))));
+    }
+
+    #[test]
     fn empty_database_snapshot() {
         let path = tmp("empty.snap");
         write(&path, &Schema::new(), &[], &ObjectStore::new()).unwrap();
@@ -247,5 +293,28 @@ mod tests {
         assert!(snap.schema.is_empty());
         assert!(snap.store.is_empty());
         assert!(snap.indexes.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A CRC-valid snapshot payload with overwritten bytes or a cut
+        /// tail never panics the decoder.
+        #[test]
+        fn mutated_payloads_never_panic(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            trim in 0usize..4,
+        ) {
+            let mut bytes = {
+                let (schema, indexes, store) = sample();
+                encode(&schema, &indexes, &store)
+            };
+            for (i, b) in edits {
+                let n = bytes.len();
+                bytes[i % n] = b;
+            }
+            bytes.truncate(bytes.len().saturating_sub(trim));
+            let _ = decode(&bytes);
+        }
     }
 }

@@ -17,10 +17,10 @@
 
 use std::path::Path;
 
+use crate::codec::{put_varint, put_vstr, DecodeError, DecodeResult, Reader};
 use crate::error::{DbError, Result};
 use crate::log::Log;
 use crate::oid::Oid;
-use crate::util::{read_str, read_varint, write_str, write_varint};
 use crate::value::Value;
 
 /// Largest batch the log accepts: the framing's `u32` length limit.
@@ -75,88 +75,81 @@ impl Record {
         match self {
             Record::DefineClass { name, parent } => {
                 out.push(1);
-                write_str(out, name);
+                put_vstr(out, name);
                 match parent {
                     Some(p) => {
                         out.push(1);
-                        write_str(out, p);
+                        put_vstr(out, p);
                     }
                     None => out.push(0),
                 }
             }
             Record::CreateIndex { class, attr, kind } => {
                 out.push(2);
-                write_str(out, class);
-                write_str(out, attr);
+                put_vstr(out, class);
+                put_vstr(out, attr);
                 out.push(*kind);
             }
             Record::Create { oid, class } => {
                 out.push(3);
-                write_varint(out, oid.0);
-                write_str(out, class);
+                put_varint(out, oid.0);
+                put_vstr(out, class);
             }
             Record::SetAttr { oid, attr, value } => {
                 out.push(4);
-                write_varint(out, oid.0);
-                write_str(out, attr);
+                put_varint(out, oid.0);
+                put_vstr(out, attr);
                 value.encode(out);
             }
             Record::Delete { oid } => {
                 out.push(5);
-                write_varint(out, oid.0);
+                put_varint(out, oid.0);
             }
             Record::Commit => out.push(6),
         }
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<Record> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
-            1 => {
-                let name = read_str(buf, pos)?;
-                let has_parent = *buf.get(*pos)?;
-                *pos += 1;
-                let parent = match has_parent {
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Record> {
+        Ok(match r.u8("record tag")? {
+            1 => Record::DefineClass {
+                name: r.vstring("class name")?,
+                parent: match r.u8("parent flag")? {
                     0 => None,
-                    1 => Some(read_str(buf, pos)?),
-                    _ => return None,
-                };
-                Record::DefineClass { name, parent }
-            }
-            2 => {
-                let class = read_str(buf, pos)?;
-                let attr = read_str(buf, pos)?;
-                let kind = *buf.get(*pos)?;
-                *pos += 1;
-                Record::CreateIndex { class, attr, kind }
-            }
+                    1 => Some(r.vstring("parent name")?),
+                    flag => return Err(DecodeError::unknown("parent flag", flag)),
+                },
+            },
+            2 => Record::CreateIndex {
+                class: r.vstring("index class")?,
+                attr: r.vstring("index attr")?,
+                kind: r.u8("index kind")?,
+            },
             3 => Record::Create {
-                oid: Oid(read_varint(buf, pos)?),
-                class: read_str(buf, pos)?,
+                oid: Oid(r.varint("oid")?),
+                class: r.vstring("class name")?,
             },
             4 => Record::SetAttr {
-                oid: Oid(read_varint(buf, pos)?),
-                attr: read_str(buf, pos)?,
-                value: Value::decode(buf, pos)?,
+                oid: Oid(r.varint("oid")?),
+                attr: r.vstring("attr name")?,
+                value: Value::decode(r)?,
             },
             5 => Record::Delete {
-                oid: Oid(read_varint(buf, pos)?),
+                oid: Oid(r.varint("oid")?),
             },
             6 => Record::Commit,
-            _ => return None,
+            tag => return Err(DecodeError::unknown("record tag", tag)),
         })
     }
 }
 
 /// Decode one committed batch: records up to a [`Record::Commit`]
-/// marker that ends the payload exactly. `None` if it does not decode.
-fn decode_batch(payload: &[u8]) -> Option<Vec<Record>> {
-    let mut pos = 0usize;
+/// marker that ends the payload exactly.
+fn decode_batch(payload: &[u8]) -> DecodeResult<Vec<Record>> {
+    let mut r = Reader::new(payload);
     let mut batch = Vec::new();
     loop {
-        match Record::decode(payload, &mut pos)? {
-            Record::Commit => return (pos == payload.len()).then_some(batch),
+        match Record::decode(&mut r)? {
+            Record::Commit => return r.finish().map(|()| batch),
             record => batch.push(record),
         }
     }
@@ -202,9 +195,9 @@ pub fn open(path: &Path) -> Result<(WalWriter, Vec<Record>)> {
     let (log, payloads) = Log::open(path, MAX_BATCH)?;
     let mut records = Vec::new();
     for (i, payload) in payloads.iter().enumerate() {
-        let batch = decode_batch(payload).ok_or_else(|| {
+        let batch = decode_batch(payload).map_err(|e| {
             DbError::Corrupt(format!(
-                "wal batch {i} does not decode as a committed batch"
+                "wal batch {i} does not decode as a committed batch: {e}"
             ))
         })?;
         records.extend(batch);
@@ -222,27 +215,20 @@ pub fn replay(path: &Path) -> Result<Vec<Record>> {
 /// batch is an error.
 pub(crate) fn replay_legacy(path: &Path) -> Result<Vec<Record>> {
     let buf = std::fs::read(path)?;
+    let mut r = Reader::new(&buf);
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        let frame_start = pos;
-        let Some(len) = read_varint(&buf, &mut pos) else {
-            break; // torn length prefix
+    while r.remaining() > 0 {
+        let frame_start = r.pos();
+        let Ok(len) = r.count_varint(1, "legacy wal frame") else {
+            break; // torn length prefix or payload
         };
-        let Some(end) = usize::try_from(len)
-            .ok()
-            .and_then(|len| pos.checked_add(len))
-            .filter(|&end| end <= buf.len())
-        else {
-            break; // torn payload
-        };
-        let batch = decode_batch(&buf[pos..end]).ok_or_else(|| {
+        let frame = r.take(len, "legacy wal frame")?;
+        let batch = decode_batch(frame).map_err(|e| {
             DbError::Corrupt(format!(
-                "undecodable legacy wal frame at byte {frame_start}"
+                "undecodable legacy wal frame at byte {frame_start}: {e}"
             ))
         })?;
         records.extend(batch);
-        pos = end;
     }
     Ok(records)
 }
@@ -250,6 +236,7 @@ pub(crate) fn replay_legacy(path: &Path) -> Result<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("oodb-wal-tests");
@@ -341,5 +328,32 @@ mod tests {
         let path = tmp("empty.wal");
         std::fs::write(&path, b"").unwrap();
         assert!(replay(&path).unwrap().is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A CRC-valid batch with overwritten bytes or a cut tail never
+        /// panics the batch decoder.
+        #[test]
+        fn mutated_batches_never_panic(
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            trim in 0usize..4,
+        ) {
+            let mut bytes = {
+                let mut payload = Vec::new();
+                for r in sample_batch() {
+                    r.encode(&mut payload);
+                }
+                Record::Commit.encode(&mut payload);
+                payload
+            };
+            for (i, b) in edits {
+                let n = bytes.len();
+                bytes[i % n] = b;
+            }
+            bytes.truncate(bytes.len().saturating_sub(trim));
+            let _ = decode_batch(&bytes);
+        }
     }
 }

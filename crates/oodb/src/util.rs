@@ -1,11 +1,12 @@
-//! Small binary-encoding helpers shared by the WAL and snapshot formats,
-//! plus the crash-safe file-write primitives the snapshot and
-//! [`crate::log`] use.
+//! The CRC-32 checksum and the crash-safe file-write primitives the
+//! snapshot and [`crate::log`] use. The byte codec inside their records
+//! is [`crate::codec`].
 
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
+use crate::codec::Reader;
 use crate::error::{DbError, Result};
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
@@ -86,9 +87,7 @@ pub fn read_verified(path: &Path) -> Result<Vec<u8>> {
         return Err(DbError::Corrupt("file shorter than its CRC trailer".into()));
     }
     let crc_pos = buf.len() - 4;
-    let mut trailer = [0u8; 4];
-    trailer.copy_from_slice(&buf[crc_pos..]);
-    let expected = u32::from_le_bytes(trailer);
+    let expected = Reader::new(&buf[crc_pos..]).u32("crc trailer")?;
     let actual = crc32(&buf[..crc_pos]);
     if actual != expected {
         return Err(DbError::Corrupt(format!(
@@ -97,64 +96,6 @@ pub fn read_verified(path: &Path) -> Result<Vec<u8>> {
     }
     buf.truncate(crc_pos);
     Ok(buf)
-}
-
-/// Append `v` to `buf` as an unsigned LEB128 varint.
-pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Read a varint from `buf` at `*pos`, advancing `*pos`. `None` on
-/// truncated or overlong input.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Append a length-prefixed byte string.
-pub fn write_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-/// Read a length-prefixed byte string.
-pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = read_varint(buf, pos)? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= buf.len())?;
-    let out = &buf[*pos..end];
-    *pos = end;
-    Some(out)
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn write_str(buf: &mut Vec<u8>, s: &str) {
-    write_bytes(buf, s.as_bytes());
-}
-
-/// Read a length-prefixed UTF-8 string.
-pub fn read_str(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let bytes = read_bytes(buf, pos)?;
-    String::from_utf8(bytes.to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -180,43 +121,5 @@ mod tests {
         bytes[3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_verified(&path), Err(DbError::Corrupt(_))));
-    }
-
-    #[test]
-    fn varint_round_trip() {
-        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), Some(v));
-        }
-    }
-
-    #[test]
-    fn bytes_and_strings_round_trip() {
-        let mut buf = Vec::new();
-        write_str(&mut buf, "hello");
-        write_bytes(&mut buf, &[1, 2, 3]);
-        let mut pos = 0;
-        assert_eq!(read_str(&buf, &mut pos).as_deref(), Some("hello"));
-        assert_eq!(read_bytes(&buf, &mut pos), Some(&[1u8, 2, 3][..]));
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn truncated_reads_fail() {
-        let mut buf = Vec::new();
-        write_str(&mut buf, "hello");
-        buf.pop();
-        let mut pos = 0;
-        assert_eq!(read_str(&buf, &mut pos), None);
-    }
-
-    #[test]
-    fn invalid_utf8_string_fails() {
-        let mut buf = Vec::new();
-        write_bytes(&mut buf, &[0xff, 0xfe]);
-        let mut pos = 0;
-        assert_eq!(read_str(&buf, &mut pos), None);
     }
 }

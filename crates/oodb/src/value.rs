@@ -8,8 +8,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::codec::{put_f64, put_varint, put_vstr, DecodeError, DecodeResult, Reader};
 use crate::oid::Oid;
-use crate::util::{read_str, read_varint, write_str, write_varint};
+
+/// Deepest list nesting [`Value::decode`] accepts. Stored values are
+/// flat or shallow (a list of child OIDs); the bound only stops hostile
+/// bytes.
+const MAX_LIST_DEPTH: usize = 1024;
 
 /// A typed attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,23 +147,23 @@ impl Value {
             Value::Int(i) => {
                 buf.push(2);
                 // Zig-zag so negative values stay compact.
-                write_varint(buf, ((i << 1) ^ (i >> 63)) as u64);
+                put_varint(buf, ((i << 1) ^ (i >> 63)) as u64);
             }
             Value::Real(r) => {
                 buf.push(3);
-                buf.extend_from_slice(&r.to_bits().to_le_bytes());
+                put_f64(buf, *r);
             }
             Value::Str(s) => {
                 buf.push(4);
-                write_str(buf, s);
+                put_vstr(buf, s);
             }
             Value::Oid(o) => {
                 buf.push(5);
-                write_varint(buf, o.0);
+                put_varint(buf, o.0);
             }
             Value::List(l) => {
                 buf.push(6);
-                write_varint(buf, l.len() as u64);
+                put_varint(buf, l.len() as u64);
                 for v in l {
                     v.encode(buf);
                 }
@@ -166,41 +171,39 @@ impl Value {
         }
     }
 
-    /// Inverse of [`Value::encode`].
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Value> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        Some(match tag {
+    /// Inverse of [`Value::encode`]: read one value from `r`. Lists nest
+    /// at most 1024 deep, so hostile bytes cannot recurse the decoder off
+    /// the end of its stack.
+    pub fn decode(r: &mut Reader<'_>) -> DecodeResult<Value> {
+        Value::decode_nested(r, 0)
+    }
+
+    fn decode_nested(r: &mut Reader<'_>, depth: usize) -> DecodeResult<Value> {
+        Ok(match r.u8("value tag")? {
             0 => Value::Null,
-            1 => {
-                let b = *buf.get(*pos)?;
-                *pos += 1;
-                Value::Bool(b != 0)
-            }
+            1 => Value::Bool(r.u8("bool value")? != 0),
             2 => {
-                let z = read_varint(buf, pos)?;
+                let z = r.varint("int value")?;
                 Value::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
             }
-            3 => {
-                if *pos + 8 > buf.len() {
-                    return None;
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&buf[*pos..*pos + 8]);
-                *pos += 8;
-                Value::Real(f64::from_bits(u64::from_le_bytes(b)))
+            3 => Value::Real(r.f64("real value")?),
+            4 => Value::Str(r.vstring("string value")?),
+            5 => Value::Oid(Oid(r.varint("oid value")?)),
+            6 if depth == MAX_LIST_DEPTH => {
+                return Err(DecodeError(format!(
+                    "list value nested deeper than {MAX_LIST_DEPTH}"
+                )))
             }
-            4 => Value::Str(read_str(buf, pos)?),
-            5 => Value::Oid(Oid(read_varint(buf, pos)?)),
             6 => {
-                let n = read_varint(buf, pos)? as usize;
-                let mut l = Vec::with_capacity(n.min(1024));
+                // Every element takes at least its tag byte.
+                let n = r.count_varint(1, "list value")?;
+                let mut l = Vec::with_capacity(n);
                 for _ in 0..n {
-                    l.push(Value::decode(buf, pos)?);
+                    l.push(Value::decode_nested(r, depth + 1)?);
                 }
                 Value::List(l)
             }
-            _ => return None,
+            tag => return Err(DecodeError::unknown("value tag", tag)),
         })
     }
 }
@@ -320,19 +323,27 @@ mod tests {
         for v in &vals {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let mut pos = 0;
-            let back = Value::decode(&buf, &mut pos).unwrap();
+            let mut r = Reader::new(&buf);
+            let back = Value::decode(&mut r).unwrap();
             assert_eq!(&back, v);
-            assert_eq!(pos, buf.len());
+            assert_eq!(r.remaining(), 0);
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(Value::decode(&[200], &mut 0), None);
-        assert_eq!(Value::decode(&[], &mut 0), None);
+        let decode = |bytes: &[u8]| Value::decode(&mut Reader::new(bytes));
+        assert!(decode(&[200]).is_err());
+        assert!(decode(&[]).is_err());
         // Truncated f64.
-        assert_eq!(Value::decode(&[3, 0, 0], &mut 0), None);
+        assert!(decode(&[3, 0, 0]).is_err());
+        // A list count larger than the bytes left.
+        assert!(decode(&[6, 0xff, 0xff, 0xff, 0xff, 0x0f]).is_err());
+        // Lists nested past the bound: an error, not a stack overflow.
+        let nested = |depth: usize| [&[6u8, 1].repeat(depth)[..], &[0]].concat();
+        assert!(decode(&nested(MAX_LIST_DEPTH)).is_ok());
+        assert!(decode(&nested(MAX_LIST_DEPTH + 1)).is_err());
+        assert!(decode(&nested(1_000_000)).is_err());
     }
 
     #[test]
@@ -376,11 +387,11 @@ mod proptests {
         fn encode_decode_round_trips(v in value_strategy()) {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let mut pos = 0;
-            let back = Value::decode(&buf, &mut pos).unwrap();
+            let mut r = Reader::new(&buf);
+            let back = Value::decode(&mut r).unwrap();
             // NaN != NaN under PartialEq, so compare via total order.
             prop_assert_eq!(back.total_cmp(&v), std::cmp::Ordering::Equal);
-            prop_assert_eq!(pos, buf.len());
+            prop_assert_eq!(r.remaining(), 0);
         }
 
         #[test]

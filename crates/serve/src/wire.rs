@@ -19,11 +19,13 @@
 //! ```
 //!
 //! The payload codec is hand-rolled (the workspace deliberately carries
-//! no serde): little-endian fixed-width integers, `f64` as IEEE-754
-//! bits, strings and sequences length-prefixed with `u32`. Decoding is
-//! strict — trailing bytes, truncated fields, unknown tags, and
-//! out-of-range discriminants are all [`WireError::Malformed`], never a
-//! panic.
+//! no serde) on [`oodb::codec`], the byte codec the ledger and the OODB
+//! files share: little-endian fixed-width integers, `f64` as IEEE-754
+//! bits, strings and sequences length-prefixed with `u32`; a
+//! [`TaskKind`] is laid out by [`TaskKind::encode`], the same bytes as
+//! in the task ledger. Decoding is strict — trailing bytes, truncated
+//! fields, unknown tags, and out-of-range discriminants are all
+//! [`WireError::Malformed`], never a panic.
 //!
 //! Failures cross the wire as an *error frame* whose payload is a
 //! [`WireFault`]: a [`Status`] code in the HTTP idiom (429 overloaded,
@@ -38,6 +40,7 @@ use coupling::tasks::{Task, TaskFilter, TaskKind, TaskStatus, TaskStatusKind};
 use coupling::{CouplingError, ErrorKind, MixedStrategy, ResultOrigin};
 use irs::persist::crc32;
 use irs::{QueryGlobals, TermGlobals};
+use oodb::codec::{put_f64, put_str, put_u32, put_u64, DecodeError, Reader};
 use oodb::Oid;
 
 use crate::request::{Request, Response};
@@ -118,6 +121,12 @@ impl std::error::Error for WireError {
             WireError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Malformed(e.to_string())
     }
 }
 
@@ -233,11 +242,12 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Frame>> {
         return Err(WireError::BadVersion(header[4]));
     }
     let kind = FrameKind::from_byte(header[5]).ok_or(WireError::BadKind(header[5]))?;
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
+    let mut fields = Reader::new(&header[6..]);
+    let len = fields.u32("frame length")?;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversize(u64::from(len)));
     }
-    let expected = u32::from_le_bytes(header[10..14].try_into().expect("4 bytes"));
+    let expected = fields.u32("frame crc")?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     let found = crc32(&payload);
@@ -389,109 +399,6 @@ impl fmt::Display for WireFault {
 // Payload codec
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Strict payload reader: every accessor bounds-checks, and
-/// [`Dec::finish`] rejects trailing bytes.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> WireResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(WireError::Malformed(format!(
-                "truncated {what}: need {n} bytes at offset {}, payload is {}",
-                self.pos,
-                self.bytes.len()
-            ))),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> WireResult<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn string(&mut self, what: &str) -> WireResult<String> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    /// A `u32` element count, sanity-bounded by the bytes actually left
-    /// (each element needs at least `min_elem_len` bytes), so a corrupt
-    /// count cannot drive a huge allocation.
-    fn count(&mut self, min_elem_len: usize, what: &str) -> WireResult<usize> {
-        let n = self.u32(what)? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(min_elem_len.max(1)) > remaining {
-            return Err(WireError::Malformed(format!(
-                "{what} count {n} cannot fit in {remaining} remaining bytes"
-            )));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> WireResult<()> {
-        if self.pos != self.bytes.len() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
 fn strategy_byte(s: MixedStrategy) -> u8 {
     match s {
         MixedStrategy::Independent => 0,
@@ -503,9 +410,7 @@ fn strategy_from(b: u8) -> WireResult<MixedStrategy> {
     match b {
         0 => Ok(MixedStrategy::Independent),
         1 => Ok(MixedStrategy::IrsFirst),
-        other => Err(WireError::Malformed(format!(
-            "unknown mixed strategy {other}"
-        ))),
+        other => Err(DecodeError::unknown("mixed strategy", other).into()),
     }
 }
 
@@ -522,9 +427,7 @@ fn origin_from(b: u8) -> WireResult<ResultOrigin> {
         0 => Ok(ResultOrigin::Fresh),
         1 => Ok(ResultOrigin::Buffered),
         2 => Ok(ResultOrigin::Stale),
-        other => Err(WireError::Malformed(format!(
-            "unknown result origin {other}"
-        ))),
+        other => Err(DecodeError::unknown("result origin", other).into()),
     }
 }
 
@@ -541,13 +444,13 @@ fn put_globals(buf: &mut Vec<u8>, g: &QueryGlobals) {
     }
 }
 
-fn decode_globals(d: &mut Dec<'_>) -> WireResult<QueryGlobals> {
+fn decode_globals(d: &mut Reader<'_>) -> WireResult<QueryGlobals> {
     let n_docs = d.u32("n_docs")?;
     let total_tokens = d.u64("total_tokens")?;
     let min_doc_len = d.u32("min_doc_len")?;
     let max_doc_len = d.u32("max_doc_len")?;
     // Each term entry needs at least a string length prefix + df + max_tf.
-    let n = d.count(12, "term stats list")?;
+    let n = d.count_u32(12, "term stats list")?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
         terms.push(TermGlobals {
@@ -565,65 +468,6 @@ fn decode_globals(d: &mut Dec<'_>) -> WireResult<QueryGlobals> {
     })
 }
 
-fn put_task_kind(buf: &mut Vec<u8>, kind: &TaskKind) {
-    match kind {
-        TaskKind::IndexObjects {
-            collection,
-            spec_query,
-        } => {
-            buf.push(0);
-            put_str(buf, collection);
-            put_str(buf, spec_query);
-        }
-        TaskKind::UpdateText {
-            oid,
-            text,
-            collections,
-        } => {
-            buf.push(1);
-            put_u64(buf, oid.0);
-            put_str(buf, text);
-            put_u32(buf, collections.len() as u32);
-            for name in collections {
-                put_str(buf, name);
-            }
-        }
-        TaskKind::Flush { collection } => {
-            buf.push(2);
-            put_str(buf, collection);
-        }
-    }
-}
-
-fn decode_task_kind(d: &mut Dec<'_>) -> WireResult<TaskKind> {
-    match d.u8("task kind tag")? {
-        0 => Ok(TaskKind::IndexObjects {
-            collection: d.string("collection")?,
-            spec_query: d.string("spec query")?,
-        }),
-        1 => {
-            let oid = Oid(d.u64("oid")?);
-            let text = d.string("text")?;
-            let n = d.count(4, "collection list")?;
-            let mut collections = Vec::with_capacity(n);
-            for _ in 0..n {
-                collections.push(d.string("collection name")?);
-            }
-            Ok(TaskKind::UpdateText {
-                oid,
-                text,
-                collections,
-            })
-        }
-        2 => Ok(TaskKind::Flush {
-            collection: d.string("collection")?,
-        }),
-        other => Err(WireError::Malformed(format!(
-            "unknown task kind tag {other}"
-        ))),
-    }
-}
-
 fn status_kind_byte(k: TaskStatusKind) -> u8 {
     match k {
         TaskStatusKind::Enqueued => 0,
@@ -639,7 +483,7 @@ fn status_kind_from(b: u8) -> WireResult<TaskStatusKind> {
         1 => Ok(TaskStatusKind::Processing),
         2 => Ok(TaskStatusKind::Succeeded),
         3 => Ok(TaskStatusKind::Failed),
-        other => Err(WireError::Malformed(format!("unknown task status {other}"))),
+        other => Err(DecodeError::unknown("task status", other).into()),
     }
 }
 
@@ -657,10 +501,10 @@ fn put_task(buf: &mut Vec<u8>, task: &Task) {
         }
         None => buf.push(0),
     }
-    put_task_kind(buf, &task.kind);
+    task.kind.encode(buf);
 }
 
-fn decode_task(d: &mut Dec<'_>) -> WireResult<Task> {
+fn decode_task(d: &mut Reader<'_>) -> WireResult<Task> {
     let id = d.u64("task id")?;
     let status = match status_kind_from(d.u8("task status")?)? {
         TaskStatusKind::Enqueued => TaskStatus::Enqueued,
@@ -674,9 +518,9 @@ fn decode_task(d: &mut Dec<'_>) -> WireResult<Task> {
     let batch_id = match d.u8("batch flag")? {
         0 => None,
         1 => Some(d.u64("batch id")?),
-        other => return Err(WireError::Malformed(format!("unknown batch flag {other}"))),
+        other => return Err(DecodeError::unknown("batch flag", other).into()),
     };
-    let kind = decode_task_kind(d)?;
+    let kind = TaskKind::decode(d)?;
     Ok(Task {
         id,
         kind,
@@ -701,7 +545,7 @@ fn put_task_filter(buf: &mut Vec<u8>, filter: &TaskFilter) {
     }
 }
 
-fn decode_task_filter(d: &mut Dec<'_>) -> WireResult<TaskFilter> {
+fn decode_task_filter(d: &mut Reader<'_>) -> WireResult<TaskFilter> {
     let status = match d.u8("status filter")? {
         0 => None,
         b => Some(status_kind_from(b - 1)?),
@@ -709,11 +553,7 @@ fn decode_task_filter(d: &mut Dec<'_>) -> WireResult<TaskFilter> {
     let collection = match d.u8("collection filter flag")? {
         0 => None,
         1 => Some(d.string("collection filter")?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown collection filter flag {other}"
-            )))
-        }
+        other => return Err(DecodeError::unknown("collection filter flag", other).into()),
     };
     Ok(TaskFilter { status, collection })
 }
@@ -778,7 +618,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::EnqueueTask { kind } => {
             buf.push(8);
-            put_task_kind(&mut buf, kind);
+            kind.encode(&mut buf);
         }
         Request::TaskStatus { id } => {
             buf.push(9);
@@ -795,7 +635,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decode a request frame payload. Strict: unknown tags, truncated
 /// fields, and trailing bytes are all [`WireError::Malformed`].
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
-    let mut d = Dec::new(payload);
+    let mut d = Reader::new(payload);
     let req = match d.u8("request tag")? {
         0 => Request::IrsQuery {
             collection: d.string("collection")?,
@@ -825,7 +665,7 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             globals: decode_globals(&mut d)?,
         },
         8 => Request::EnqueueTask {
-            kind: decode_task_kind(&mut d)?,
+            kind: TaskKind::decode(&mut d)?,
         },
         9 => Request::TaskStatus {
             id: d.u64("task id")?,
@@ -914,11 +754,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Decode a response frame payload (strict, like [`decode_request`]).
 pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
-    let mut d = Dec::new(payload);
+    let mut d = Reader::new(payload);
     let resp = match d.u8("response tag")? {
         0 => {
             let origin = origin_from(d.u8("origin")?)?;
-            let n = d.count(16, "hit list")?;
+            let n = d.count_u32(16, "hit list")?;
             let mut hits = Vec::with_capacity(n);
             for _ in 0..n {
                 let oid = Oid(d.u64("hit oid")?);
@@ -930,7 +770,7 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
         1 => {
             let strategy = strategy_from(d.u8("strategy")?)?;
             let origin = origin_from(d.u8("origin")?)?;
-            let n = d.count(8, "oid list")?;
+            let n = d.count_u32(8, "oid list")?;
             let mut oids = Vec::with_capacity(n);
             for _ in 0..n {
                 oids.push(Oid(d.u64("oid")?));
@@ -946,7 +786,7 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
         6 => Response::TermStats(decode_globals(&mut d)?),
         7 => {
             // Each keyed hit needs at least a key length prefix + score.
-            let n = d.count(12, "keyed hit list")?;
+            let n = d.count_u32(12, "keyed hit list")?;
             let mut hits = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = d.string("hit key")?;
@@ -960,18 +800,14 @@ pub fn decode_response(payload: &[u8]) -> WireResult<Response> {
         10 => {
             // Each task needs at least id + status + tick + batch flag
             // + a minimal kind (tag + one length prefix).
-            let n = d.count(23, "task list")?;
+            let n = d.count_u32(23, "task list")?;
             let mut tasks = Vec::with_capacity(n);
             for _ in 0..n {
                 tasks.push(decode_task(&mut d)?);
             }
             Response::TaskList(tasks)
         }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown response tag {other}"
-            )))
-        }
+        other => return Err(DecodeError::unknown("response tag", other).into()),
     };
     d.finish()?;
     Ok(resp)
@@ -987,10 +823,10 @@ pub fn encode_fault(fault: &WireFault) -> Vec<u8> {
 
 /// Decode an error-frame payload.
 pub fn decode_fault(payload: &[u8]) -> WireResult<WireFault> {
-    let mut d = Dec::new(payload);
+    let mut d = Reader::new(payload);
     let code = d.u16("status code")?;
-    let status = Status::from_code(code)
-        .ok_or_else(|| WireError::Malformed(format!("unknown status code {code}")))?;
+    let status =
+        Status::from_code(code).ok_or_else(|| DecodeError::unknown("status code", code))?;
     let message = d.string("error message")?;
     d.finish()?;
     Ok(WireFault { status, message })

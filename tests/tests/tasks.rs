@@ -489,3 +489,28 @@ fn retired_write_kinds_answer_bad_request() {
     assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
     net.shutdown();
 }
+
+/// The bytes of a ledger `Enqueued` record, pinned: record tag 0x10,
+/// task id and tick as 8 little-endian bytes each, then the task kind
+/// in the same layout as the wire's `EnqueueTask` payload
+/// (`tests/tests/wire.rs`).
+#[test]
+fn ledger_enqueued_record_bytes_are_pinned() {
+    let dir = tmp_dir("golden-ledger");
+    let path = dir.join("tasks.ledger");
+    let queue = TaskQueue::open(Some(&path), 16, 16).expect("queue");
+    queue
+        .enqueue(TaskKind::UpdateText {
+            oid: Oid(0x0102),
+            text: "hi".into(),
+            collections: vec!["a".into(), "bc".into()],
+        })
+        .expect("enqueue");
+    drop(queue);
+    let (_, records) = oodb::log::Log::open(&path, coupling::tasks::TASK_RECORD_MAX).expect("log");
+    let golden: &[u8] = b"\x10\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\
+        \x01\x02\x01\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00hi\
+        \x02\x00\x00\x00\x01\x00\x00\x00a\x02\x00\x00\x00bc";
+    assert_eq!(records, vec![golden.to_vec()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

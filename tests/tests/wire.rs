@@ -291,3 +291,40 @@ proptest! {
         }
     }
 }
+
+/// The bytes of an `EnqueueTask` payload for each `TaskKind` variant,
+/// pinned: the request tag 8, then the kind's layout (tag byte, `u32`
+/// length-prefixed strings, an 8-byte oid, a `u32` list count). The
+/// task ledger stores the same kind bytes (`tests/tests/tasks.rs`).
+#[test]
+fn enqueue_task_payload_bytes_are_pinned() {
+    let cases: [(TaskKind, &[u8]); 3] = [
+        (
+            TaskKind::IndexObjects {
+                collection: "docs".into(),
+                spec_query: "ACCESS p FROM p IN PARA".into(),
+            },
+            b"\x08\x00\x04\x00\x00\x00docs\x17\x00\x00\x00ACCESS p FROM p IN PARA",
+        ),
+        (
+            TaskKind::UpdateText {
+                oid: Oid(0x0102),
+                text: "hi".into(),
+                collections: vec!["a".into(), "bc".into()],
+            },
+            b"\x08\x01\x02\x01\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00hi\
+              \x02\x00\x00\x00\x01\x00\x00\x00a\x02\x00\x00\x00bc",
+        ),
+        (
+            TaskKind::Flush {
+                collection: "c".into(),
+            },
+            b"\x08\x02\x01\x00\x00\x00c",
+        ),
+    ];
+    for (kind, golden) in cases {
+        let req = Request::EnqueueTask { kind };
+        assert_eq!(encode_request(&req), golden, "{req:?}");
+        assert_eq!(decode_request(golden).expect("decodes"), req);
+    }
+}
